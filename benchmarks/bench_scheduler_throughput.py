@@ -1,23 +1,20 @@
 """BENCH_scheduler.json — the runtime scheduler's throughput baseline writer.
 
-Drives identical seeded workloads through three schedulers — the frozen
-seed-behaviour :class:`~repro.cc.reference.ReferenceScheduler`, the
-optimized pure-Python :class:`~repro.cc.scheduler.TableDrivenScheduler`
-(``compiled=False``, the PR 3 structures) and the **compiled** scheduler
-(``compiled=True``, the default: integer conflict matrices, incremental
-peer index, codegen executors — :mod:`repro.perf.codegen`) — verifies
-all three produce bit-identical transcripts (decisions, dependency
-edges, final states, seed counters), and records throughput (operations
-and committed transactions per second) plus the speedups as a JSON
-baseline.
+Drives identical seeded workloads through two schedulers — the frozen
+seed-behaviour :class:`~repro.cc.reference.ReferenceScheduler` and the
+compiled :class:`~repro.cc.scheduler.TableDrivenScheduler` (integer
+conflict matrices, incremental peer index, codegen executors —
+:mod:`repro.perf.codegen`) — verifies both produce bit-identical
+transcripts (decisions, dependency edges, final states, seed counters),
+and records throughput (operations and committed transactions per
+second) plus the speedup as a JSON baseline.
 
 The configurations deliberately stress the seed's weak spot: many
 simultaneously active transactions over long operation histories, where
 shadow-replay certification used to replay the whole log per pair.  The
-``account_contention`` config is the acceptance workload — 10 active
-transactions, a 250-operation commutative history — and is held to
-``--min-speedup`` (optimized vs reference, default 3.0) *and*
-``--min-compiled-speedup`` (compiled vs optimized, default 2.0).
+``account_contention`` and ``account_blocking`` configs — 10 active
+transactions, a 250-operation commutative history — are held to
+``--min-speedup`` (compiled vs reference, default 3.0).
 
 Every measured callable is warmed up with one untimed round first, so
 one-time costs (the ``exec`` of the codegen executors, derivation
@@ -26,10 +23,10 @@ caches) never pollute a best-of timing.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scheduler_throughput.py \
-        --out BENCH_scheduler.json --min-speedup 3.0 --min-compiled-speedup 2.0
+        --out BENCH_scheduler.json --min-speedup 3.0
 
 Exit status is non-zero when any config fails transcript parity or the
-thresholded configs miss either speedup gate.  The CI scheduler bench
+thresholded configs miss the speedup gate.  The CI scheduler bench
 smoke job runs this, guards the fresh numbers against the committed
 baseline with ``benchmarks/check_regression.py``, and uploads the JSON
 as an artifact (see ``.github/workflows/ci.yml`` and
@@ -79,7 +76,6 @@ CONFIGS: dict[str, dict] = {
         ),
         "policy": "optimistic",
         "enforce": True,
-        "enforce_compiled": True,
     },
     "account_blocking": {
         "adt": "Account",
@@ -111,7 +107,7 @@ def _best_of(fn, rounds: int) -> tuple[float, object]:
     """Best wall time over ``rounds`` runs, plus the last result.
 
     One untimed warm-up round runs first: the compiled scheduler pays
-    its ``exec`` codegen cost on first use and all three pay assorted
+    its ``exec`` codegen cost on first use and both pay assorted
     one-time caches, none of which is steady-state throughput.
     """
     fn()
@@ -144,16 +140,9 @@ def measure_scheduler(
             ),
             rounds,
         )
-        optimized_seconds, optimized = _best_of(
-            lambda: drive(
-                TableDrivenScheduler(policy=policy, compiled=False),
-                adt, table, workload, concurrency=concurrency,
-            ),
-            rounds,
-        )
         compiled_seconds, compiled = _best_of(
             lambda: drive(
-                TableDrivenScheduler(policy=policy, compiled=True),
+                TableDrivenScheduler(policy=policy),
                 adt, table, workload, concurrency=concurrency,
             ),
             rounds,
@@ -170,17 +159,8 @@ def measure_scheduler(
             "operations_executed": executed,
             "committed": committed,
             "reference_seconds": round(reference_seconds, 6),
-            "optimized_seconds": round(optimized_seconds, 6),
             "compiled_seconds": round(compiled_seconds, 6),
-            "speedup": round(reference_seconds / optimized_seconds, 3)
-            if optimized_seconds
-            else None,
             "compiled_speedup": round(reference_seconds / compiled_seconds, 3)
-            if compiled_seconds
-            else None,
-            "optimized_vs_compiled": round(
-                optimized_seconds / compiled_seconds, 3
-            )
             if compiled_seconds
             else None,
             "ops_per_second": round(executed / compiled_seconds, 1)
@@ -192,10 +172,8 @@ def measure_scheduler(
             "reference_ops_per_second": round(executed / reference_seconds, 1)
             if reference_seconds
             else None,
-            "parity": reference == optimized,
             "compiled_parity": reference == compiled,
             "enforce_speedup": spec["enforce"],
-            "enforce_compiled": spec.get("enforce_compiled", False),
         }
     return {
         "benchmark": "scheduler_throughput",
@@ -208,17 +186,11 @@ def measure_scheduler(
     }
 
 
-def check_thresholds(
-    payload: dict, min_speedup: float, min_compiled_speedup: float = 2.0
-) -> list[str]:
+def check_thresholds(payload: dict, min_speedup: float) -> list[str]:
     """Threshold violations in a measured payload (empty = all good)."""
     failures = []
     for name, entry in payload["results"].items():
-        if not entry["parity"]:
-            failures.append(
-                f"{name}: optimized and reference transcripts differ"
-            )
-        if not entry.get("compiled_parity", True):
+        if not entry["compiled_parity"]:
             failures.append(
                 f"{name}: compiled and reference transcripts differ"
             )
@@ -229,22 +201,12 @@ def check_thresholds(
             )
         if (
             entry["enforce_speedup"]
-            and entry["speedup"] is not None
-            and entry["speedup"] < min_speedup
+            and entry["compiled_speedup"] is not None
+            and entry["compiled_speedup"] < min_speedup
         ):
             failures.append(
-                f"{name}: speedup {entry['speedup']}x below required "
-                f"{min_speedup}x"
-            )
-        if (
-            entry.get("enforce_compiled")
-            and entry.get("optimized_vs_compiled") is not None
-            and entry["optimized_vs_compiled"] < min_compiled_speedup
-        ):
-            failures.append(
-                f"{name}: compiled-vs-optimized speedup "
-                f"{entry['optimized_vs_compiled']}x below required "
-                f"{min_compiled_speedup}x"
+                f"{name}: compiled speedup {entry['compiled_speedup']}x "
+                f"below required {min_speedup}x"
             )
     return failures
 
@@ -271,13 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=3.0,
-        help="required optimized-vs-reference speedup on enforced configs "
+        help="required compiled-vs-reference speedup on enforced configs "
              "(default 3.0, the PR 3 acceptance bar)",
-    )
-    parser.add_argument(
-        "--min-compiled-speedup", type=float, default=2.0,
-        help="required compiled-vs-optimized speedup on enforce_compiled "
-             "configs (default 2.0, the compiled-dispatch acceptance bar)",
     )
     args = parser.parse_args(argv)
 
@@ -286,18 +243,14 @@ def main(argv: list[str] | None = None) -> int:
     for name, entry in payload["results"].items():
         print(
             f"{name:20} reference={entry['reference_seconds']:.4f}s "
-            f"optimized={entry['optimized_seconds']:.4f}s "
             f"compiled={entry['compiled_seconds']:.4f}s "
-            f"speedup={entry['speedup']}x "
-            f"opt_vs_compiled={entry['optimized_vs_compiled']}x "
+            f"compiled_speedup={entry['compiled_speedup']}x "
             f"ops/s={entry['ops_per_second']} "
-            f"parity={entry['parity']}/{entry['compiled_parity']}"
+            f"parity={entry['compiled_parity']}"
         )
     print(f"wrote {path}")
 
-    failures = check_thresholds(
-        payload, args.min_speedup, args.min_compiled_speedup
-    )
+    failures = check_thresholds(payload, args.min_speedup)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -47,7 +47,28 @@ from repro.obs.events import (
 )
 from repro.spec.adt import ADTSpec, AbstractState
 
-__all__ = ["Transcript", "drive"]
+__all__ = ["Transcript", "drive", "poison_execution_cache"]
+
+
+def poison_execution_cache(scheduler, mode: str) -> None:
+    """Apply one ``cache_poison`` fault (``"evict"`` or ``"corrupt"``).
+
+    The shared fault body of both drivers.  The shadow index's transition
+    memo fronts the cache with the same class of derived record, so it is
+    dropped too; otherwise memo hits would shield every future read from
+    the poison.  Schedulers without a cache or a shadow index (the
+    degraded :class:`~repro.cc.reference.ReferenceScheduler`) skip the
+    parts they lack.
+    """
+    cache = getattr(scheduler, "execution_cache", None)
+    if cache is not None:
+        if mode == "evict":
+            cache.chaos_evict()
+        else:
+            cache.chaos_corrupt()
+    shadow = getattr(scheduler, "shadow_index", None)
+    if shadow is not None:
+        shadow().chaos_drop_memo()
 
 
 @dataclass(frozen=True)
@@ -163,12 +184,7 @@ def drive(
         nonlocal scheduler
         mode = fault_plan.cache_poison()
         if mode:
-            cache = getattr(scheduler, "execution_cache", None)
-            if cache is not None:
-                if mode == "evict":
-                    cache.chaos_evict()
-                else:
-                    cache.chaos_corrupt()
+            poison_execution_cache(scheduler, mode)
             emit_fault("cache_poison", detail=mode)
         if fault_plan.crash() and hasattr(scheduler, "reincarnate"):
             emit_fault("crash")

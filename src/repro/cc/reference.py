@@ -2,7 +2,7 @@
 
 This module freezes the :class:`TableDrivenScheduler` exactly as it stood
 before the hot-path optimization (incremental shadow states, per-request
-context reuse, preview-verdict memoization, flattened table lookup — see
+context reuse, preview-verdict memoization, compiled conflict matrices — see
 :mod:`repro.cc.scheduler` and ``docs/PERFORMANCE.md``).  It replays the
 full operation log per certification, rebuilds the pre-state object graph
 per pair, and recomputes blocking-policy verdicts after execution — the

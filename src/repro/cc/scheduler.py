@@ -48,34 +48,25 @@ O(active × log × replay) as in the seed (kept verbatim in
   memoized and reused when the operation executes immediately afterwards
   (nothing can run in between — both happen in one synchronous call), so
   each pair is decided once rather than twice;
-* tables are precompiled to a :class:`~repro.perf.flat_table.FlatTable`
-  whose unconditional-ND bitset settles the common no-conflict pair in a
-  dict hit and a bit test;
-* every scheduler-side ``execute_invocation`` goes through an
-  :class:`~repro.perf.cache.ExecutionCache`, so the
-  ``execution_cache_*`` metrics reflect runtime traffic too.
-
-On top of those, ``compiled=True`` (the default) engages the
-registration-time compilation layer (:mod:`repro.perf.codegen`):
-
-* each table is additionally compiled to a
-  :class:`~repro.perf.codegen.ConflictMatrix` — flat integer arrays over
-  dense operation ids, so pair verdicts index a ``bytes`` matrix instead
-  of hashing operation-name strings;
+* each table is compiled once, at registration, to a
+  :class:`~repro.perf.codegen.ConflictMatrix` (:mod:`repro.perf.codegen`)
+  — flat integer arrays over dense operation ids, so pair verdicts index
+  a ``bytes`` matrix instead of hashing operation-name strings, and an
+  unconditional-ND bitmask per row settles the common no-conflict pair
+  in a bit test;
 * the per-request log scan is replaced by an **incremental peer index**
   (per object: active transaction -> its log entries, their op ids, and
   an OR-ed op-id bitmask), appended on every grant, pruned on commit,
   and epoch-invalidated with the shadow index on abort rollback; a peer
   transaction whose bitmask is all-unconditional-ND against the
   requested operation settles in one integer test;
-* a missed execution runs an ``exec``-generated per-operation executor
-  (:func:`~repro.perf.codegen.compiled_execute` as the private cache's
-  miss handler) instead of the generic ``execute_uncached`` dispatch,
-  and the shadow index keeps a transition memo in front of the cache.
-
-``compiled=False`` keeps the PR 3 pure-Python structures as the
-reference; ``tests/property/test_compiled_parity.py`` holds the two
-bit-identical across every builtin ADT, policy and seed.
+* every scheduler-side ``execute_invocation`` goes through an
+  :class:`~repro.perf.cache.ExecutionCache` behind the shadow index's
+  transition memo, so the ``execution_cache_*`` metrics reflect runtime
+  traffic too; a missed execution runs an ``exec``-generated
+  per-operation executor (:func:`~repro.perf.codegen.compiled_execute`
+  as the private cache's miss handler) instead of the generic
+  ``execute_uncached`` dispatch.
 
 The decision stream, dependency edges, final states and seed counters are
 bit-identical to the reference — enforced by
@@ -122,7 +113,6 @@ from repro.obs.conflict import ConflictProfile, ObjectConflictTracker
 from repro.obs.tracers import NULL_TRACER, Tracer
 from repro.perf.cache import ExecutionCache
 from repro.perf.codegen import ConflictMatrix, compiled_execute
-from repro.perf.flat_table import FlatTable
 from repro.perf.shadow import ShadowStateIndex
 from repro.spec.adt import ADTSpec, AbstractState, active_execution_cache
 from repro.spec.operation import Invocation
@@ -182,12 +172,12 @@ class SchedulerStats:
     #: Blocking-policy pair verdicts reused from the admission preview
     #: instead of being recomputed after execution.
     preview_reuses: int = 0
-    #: Pair checks settled by the flattened table's unconditional-ND
-    #: bitset without building a condition context.
+    #: Pair checks settled by the conflict matrix's unconditional-ND
+    #: bitmask without building a condition context.
     nd_fast_path_hits: int = 0
-    #: Shadow state transitions served by the compiled transition memo
-    #: (``compiled=True`` only), skipping the execution cache's lock and
-    #: key hashing; see :mod:`repro.perf.shadow`.
+    #: Shadow state transitions served by the transition memo, skipping
+    #: the execution cache's lock and key hashing; see
+    #: :mod:`repro.perf.shadow`.
     compiled_memo_hits: int = 0
 
     #: Serving-layer sheds recorded against this scheduler's backend
@@ -292,9 +282,8 @@ class _PreviewVerdicts(NamedTuple):
 class _RegisteredObject:
     shared: SharedObject
     table: CompatibilityTable
-    flat: FlatTable
-    #: Integer-id compilation of ``table`` (``compiled=True`` only).
-    matrix: ConflictMatrix | None = None
+    #: Integer-id compilation of ``table``.
+    matrix: ConflictMatrix
 
 
 class _TxnEntries:
@@ -316,12 +305,12 @@ class _TxnEntries:
 class _PeerIndex:
     """Incrementally maintained active-peer entries of one shared object.
 
-    Replaces the compiled scheduler's per-request log scan: appended on
-    every grant, pruned when a transaction commits, and marked stale when
-    an abort rewrites the log wholesale (the entries are replaced by
-    fresh :class:`~repro.cc.objects.AppliedOperation` objects with new
-    traces, so the index must rebuild from the authoritative log — the
-    same epoch discipline the shadow index uses).
+    Replaces a per-request log scan: appended on every grant, pruned
+    when a transaction commits, and marked stale when an abort rewrites
+    the log wholesale (the entries are replaced by fresh
+    :class:`~repro.cc.objects.AppliedOperation` objects with new traces,
+    so the index must rebuild from the authoritative log — the same
+    epoch discipline the shadow index uses).
     """
 
     __slots__ = ("stale", "by_txn")
@@ -345,17 +334,10 @@ class TableDrivenScheduler:
         tracer: Tracer | None = None,
         execution_cache: ExecutionCache | None = None,
         conflict_thresholds=None,
-        compiled: bool = True,
     ) -> None:
         if policy not in self.POLICIES:
             raise SchedulerError(f"unknown policy {policy!r}")
         self.policy = policy
-        #: Registration-time compilation (:mod:`repro.perf.codegen`):
-        #: integer conflict matrices, the incremental peer index, codegen
-        #: executors and the shadow transition memo.  ``False`` selects
-        #: the PR 3 pure-Python reference structures — bit-identical
-        #: transcripts either way (``tests/property/test_compiled_parity``).
-        self.compiled = compiled
         #: Falsy NullTracer by default: emissions are guarded with
         #: ``if self.tracer:`` so untraced runs never build an event.
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
@@ -392,19 +374,17 @@ class TableDrivenScheduler:
             if execution_cache is not None
             else (
                 active_execution_cache()
-                or ExecutionCache(
-                    executor=compiled_execute if compiled else None
-                )
+                or ExecutionCache(executor=compiled_execute)
             )
         )
         self._objects: dict[str, _RegisteredObject] = {}
-        #: Per-object incremental peer index (``compiled=True`` only).
+        #: Per-object incremental peer index.
         self._peers: dict[str, _PeerIndex] = {}
         self._txns: dict[TxnId, Transaction] = {}
         self._deps = DependencyGraph()
         self._wait_for: dict[TxnId, set[TxnId]] = {}
         self._shadow = ShadowStateIndex(
-            cache=self.execution_cache, stats=self.stats, compiled=compiled
+            cache=self.execution_cache, stats=self.stats
         )
         self._next_txn: TxnId = 0
         self._sequence = 0
@@ -423,10 +403,8 @@ class TableDrivenScheduler:
     ) -> SharedObject:
         """Attach a shared object and the table governing it.
 
-        The table is flattened once, here, into the dict-indexed
-        :class:`~repro.perf.flat_table.FlatTable` the hot path reads —
-        and, when the scheduler runs compiled, additionally into the
-        integer-id :class:`~repro.perf.codegen.ConflictMatrix`.
+        The table is compiled once, here, into the integer-id
+        :class:`~repro.perf.codegen.ConflictMatrix` the hot path reads.
         """
         if name in self._objects:
             raise SchedulerError(f"object {name!r} already registered")
@@ -434,11 +412,9 @@ class TableDrivenScheduler:
         self._objects[name] = _RegisteredObject(
             shared=shared,
             table=table,
-            flat=FlatTable.compile(table),
-            matrix=ConflictMatrix.compile(table) if self.compiled else None,
+            matrix=ConflictMatrix.compile(table),
         )
-        if self.compiled:
-            self._peers[name] = _PeerIndex()
+        self._peers[name] = _PeerIndex()
         if self.conflict_thresholds is not None:
             self._conflict[name] = ObjectConflictTracker(
                 object_name=name,
@@ -585,8 +561,7 @@ class TableDrivenScheduler:
         # certification above must see every maintained state *without*
         # the entry it is certifying.
         self._shadow.note_execute(object_name, shared, applied)
-        if self.compiled:
-            self._note_peer_entry(object_name, registered, txn, applied)
+        self._note_peer_entry(object_name, registered, txn, applied)
         self.stats.operations_executed += 1
         self._conflict[object_name].note_grant()
         self._sequence += 1
@@ -673,8 +648,7 @@ class TableDrivenScheduler:
             # peer-index entries would only cost a skipped iteration.
             for name in self._objects:
                 self._shadow.forget(name, txn)
-                if self.compiled:
-                    self._peers[name].by_txn.pop(txn, None)
+                self._peers[name].by_txn.pop(txn, None)
             if self.tracer:
                 self.tracer.emit(
                     TxnCommitted(
@@ -764,10 +738,9 @@ class TableDrivenScheduler:
         # were replaced by the replay — is stale.  Epoch-invalidate and
         # rebuild lazily.
         self._shadow.invalidate()
-        if self.compiled:
-            for index in self._peers.values():
-                index.stale = True
-                index.by_txn = {}
+        for index in self._peers.values():
+            index.stale = True
+            index.by_txn = {}
         return cascade, list(collateral)
 
     # ------------------------------------------------------------------
@@ -871,23 +844,21 @@ class TableDrivenScheduler:
 
         The quarantine rung of the robustness degradation ladder: the
         execution-cache entries are discarded (a poisoned entry cannot
-        survive), every flat table is recompiled from its authoritative
-        :class:`~repro.core.tables.CompatibilityTable`, and the shadow
-        index is replaced by a fresh one whose states rebuild lazily from
-        the (authoritative) object logs.  Nothing here touches
-        transactions, dependency edges or logs, so scheduling decisions
-        after a rebuild are exactly what they would have been had the
-        fast paths never been corrupted.
+        survive), every conflict matrix is recompiled from its
+        authoritative :class:`~repro.core.tables.CompatibilityTable`, and
+        the shadow index and peer index are replaced by fresh ones that
+        rebuild lazily from the (authoritative) object logs.  Nothing
+        here touches transactions, dependency edges or logs, so
+        scheduling decisions after a rebuild are exactly what they would
+        have been had the fast paths never been corrupted.
         """
         self.execution_cache.clear()
         self._shadow = ShadowStateIndex(
-            cache=self.execution_cache, stats=self.stats, compiled=self.compiled
+            cache=self.execution_cache, stats=self.stats
         )
         for name, registered in self._objects.items():
-            registered.flat = FlatTable.compile(registered.table)
-            if self.compiled:
-                registered.matrix = ConflictMatrix.compile(registered.table)
-                self._peers[name] = _PeerIndex()
+            registered.matrix = ConflictMatrix.compile(registered.table)
+            self._peers[name] = _PeerIndex()
             self._shadow.register(name)
 
     # ------------------------------------------------------------------
@@ -899,25 +870,6 @@ class TableDrivenScheduler:
             return self._objects[name]
         except KeyError:
             raise SchedulerError(f"object {name!r} is not registered") from None
-
-    def _active_entries_by_txn(
-        self, txn: TxnId, shared: SharedObject, skip: AppliedOperation | None
-    ) -> dict[TxnId, list[AppliedOperation]]:
-        """Log entries of every *other* active transaction, grouped.
-
-        One pass over the log per request, instead of one per (pair ×
-        log-scan) as in the seed.
-        """
-        by_txn: dict[TxnId, list[AppliedOperation]] = {}
-        for entry in shared.log():
-            if entry is skip or entry.txn == txn:
-                continue
-            by_txn.setdefault(entry.txn, []).append(entry)
-        return {
-            other: entries
-            for other, entries in by_txn.items()
-            if self.transaction(other).is_active
-        }
 
     def _note_peer_entry(
         self,
@@ -931,7 +883,7 @@ class TableDrivenScheduler:
         Called *after* :meth:`_record_dependencies`, mirroring the shadow
         index: certification must never see the entry it is certifying,
         so a live index naturally lacks it.  A stale index skips the
-        append — the next :meth:`_compiled_peers` rebuild picks the entry
+        append — the next :meth:`_active_peers` rebuild picks the entry
         up from the authoritative log.
         """
         index = self._peers[name]
@@ -945,18 +897,17 @@ class TableDrivenScheduler:
         peer.ids.append(op_id)
         peer.mask |= 1 << op_id
 
-    def _compiled_peers(
+    def _active_peers(
         self, registered: _RegisteredObject, skip: AppliedOperation | None
     ) -> dict[TxnId, _TxnEntries]:
         """The object's peer index, rebuilt from the log if stale.
 
-        Same grouping as :meth:`_active_entries_by_txn` (log order within
-        each transaction, inactive transactions dropped) except that the
-        requester's own entries are *included* — callers exclude the
-        requesting transaction's key at iteration time, which lets the
-        index be maintained incrementally instead of refiltered per
-        request.  ``skip`` names the entry under certification, exactly
-        as in a shadow rebuild.
+        Groups the log entries of every active transaction, in log order
+        within each transaction.  The requester's own entries are
+        *included* — callers exclude the requesting transaction's key at
+        iteration time, which lets the index be maintained incrementally
+        instead of refiltered per request.  ``skip`` names the entry under
+        certification, exactly as in a shadow rebuild.
         """
         index = self._peers[registered.shared.name]
         if index.stale:
@@ -983,12 +934,13 @@ class TableDrivenScheduler:
     def _pair_dependency(
         self,
         shared: SharedObject,
-        flat: FlatTable,
+        matrix: ConflictMatrix,
+        inv_id: int,
         invocation: Invocation,
         returned: ReturnValue,
         trace: LocalityTrace,
         pre_graph: _PreGraph,
-        other_entries: list[AppliedOperation],
+        peer: _TxnEntries,
         other_txn: TxnId,
         skip: AppliedOperation | None,
     ) -> tuple[Dependency, _DepEvidence]:
@@ -1015,75 +967,18 @@ class TableDrivenScheduler:
         Returns the verdict together with its provenance — which earlier
         operation, table entry, condition and evidence source were
         decisive — for the ``DependencyRecorded`` trace event.
-        """
-        verdict = Dependency.ND
-        evidence = _NO_EVIDENCE
-        stats = self.stats
-        for earlier in other_entries:
-            executing = earlier.invocation.operation
-            if flat.is_unconditional_nd(invocation.operation, executing):
-                # Full-state-space forward commutativity: the operations
-                # can be swapped anywhere in any history, so the
-                # (conservative) locality escalation is skipped —
-                # otherwise two Deposits would be needlessly
-                # commit-ordered for touching the same balance vertex.
-                # (The integration suite verifies the commutativity
-                # property for every unconditional ND cell of every
-                # derived table; the shadow test below still runs.)
-                stats.nd_fast_path_hits += 1
-                continue
-            entry = flat.entry(invocation.operation, executing)
-            context = ConditionContext(
-                first_invocation=earlier.invocation,
-                second_invocation=invocation,
-                pre_graph=pre_graph.get(),
-                first_return=earlier.returned,
-                second_return=returned,
-            )
-            if entry.is_conditional:
-                stats.condition_evaluations += len(entry.pairs)
-            resolved, held = entry.resolve_with_condition(context)
-            from_locality = locality_dependency(earlier.trace, trace)
-            pair_verdict = max(resolved, from_locality)
-            if pair_verdict > verdict:
-                verdict = pair_verdict
-                evidence = _DepEvidence(
-                    executing=executing,
-                    entry=entry,
-                    condition=held,
-                    source="locality" if from_locality > resolved else "table",
-                )
-            if verdict is Dependency.AD:
-                return Dependency.AD, evidence
-        shadow = self._shadow.shadow_return(
-            shared.name, shared, invocation, other_txn, skip
-        )
-        if shadow != returned:
-            return Dependency.AD, _SHADOW_EVIDENCE
-        return verdict, evidence
 
-    def _pair_dependency_compiled(
-        self,
-        shared: SharedObject,
-        matrix: ConflictMatrix,
-        inv_id: int,
-        invocation: Invocation,
-        returned: ReturnValue,
-        trace: LocalityTrace,
-        pre_graph: _PreGraph,
-        peer: _TxnEntries,
-        other_txn: TxnId,
-        skip: AppliedOperation | None,
-    ) -> tuple[Dependency, _DepEvidence]:
-        """:meth:`_pair_dependency` over the integer conflict matrix.
-
-        Same three evidence sources, same verdicts, same counters — the
-        parity suite holds the two paths bit-identical.  What changes is
-        the cost model: the whole peer transaction is first tested
-        against the requested operation's unconditional-ND row in one
-        bitmask operation (settling the common no-conflict case with
-        zero per-entry work), and the slow path indexes cells by integer
-        id instead of hashing operation-name pairs.
+        Cells that are unconditional ND are full-state-space forward
+        commutativity: the operations can be swapped anywhere in any
+        history, so the (conservative) locality escalation is skipped for
+        them — otherwise two Deposits would be needlessly commit-ordered
+        for touching the same balance vertex.  (The integration suite
+        verifies the commutativity property for every unconditional ND
+        cell of every derived table; the shadow test still runs.)  The
+        whole peer transaction is first tested against the requested
+        operation's unconditional-ND row in one bitmask operation,
+        settling the common no-conflict case with zero per-entry work;
+        the slow path indexes cells by integer id.
         """
         stats = self.stats
         entries = peer.entries
@@ -1091,8 +986,7 @@ class TableDrivenScheduler:
         evidence = _NO_EVIDENCE
         if matrix.all_nd(inv_id, peer.mask):
             # Every logged operation of the peer sits in an
-            # unconditional-ND cell; account each entry's fast-path hit
-            # exactly as the per-entry loop would.
+            # unconditional-ND cell; count one fast-path hit per entry.
             stats.nd_fast_path_hits += len(entries)
         else:
             codes = matrix.codes
@@ -1156,18 +1050,12 @@ class TableDrivenScheduler:
         between), so each verdict — and the condition-evaluation work it
         stands for — is reused rather than recomputed.
         """
-        shared, flat = registered.shared, registered.flat
+        shared, matrix = registered.shared, registered.matrix
         conflict = self._conflict[shared.name]
         nd_fast_before = self.stats.nd_fast_path_hits
-        compiled = self.compiled
-        if compiled:
-            by_txn = self._compiled_peers(registered, skip=applied)
-            matrix = registered.matrix
-            inv_id = matrix.op_id[applied.invocation.operation]
-            others = sorted(t for t in by_txn if t != txn)
-        else:
-            by_txn = self._active_entries_by_txn(txn, shared, skip=applied)
-            others = sorted(by_txn)
+        by_txn = self._active_peers(registered, skip=applied)
+        inv_id = matrix.op_id[applied.invocation.operation]
+        others = sorted(t for t in by_txn if t != txn)
         pre_graph = (
             preview.pre_graph
             if preview is not None
@@ -1182,23 +1070,11 @@ class TableDrivenScheduler:
                 # Keep the seed counter exact: the seed re-evaluated the
                 # conditions here; account the work the reuse displaced.
                 self.stats.condition_evaluations += condition_evaluations
-            elif compiled:
-                dependency, evidence = self._pair_dependency_compiled(
-                    shared,
-                    matrix,
-                    inv_id,
-                    applied.invocation,
-                    applied.returned,
-                    applied.trace,
-                    pre_graph,
-                    by_txn[other_txn],
-                    other_txn,
-                    skip=applied,
-                )
             else:
                 dependency, evidence = self._pair_dependency(
                     shared,
-                    flat,
+                    matrix,
+                    inv_id,
                     applied.invocation,
                     applied.returned,
                     applied.trace,
@@ -1250,49 +1126,30 @@ class TableDrivenScheduler:
         Also returns every pair verdict computed along the way, keyed by
         transaction, for the grant path to reuse.
         """
-        shared, flat = registered.shared, registered.flat
+        shared, matrix = registered.shared, registered.matrix
         nd_fast_before = self.stats.nd_fast_path_hits
         preview_returned, preview_trace = shared.preview_with_trace(invocation)
         pre_state = shared.state()
-        compiled = self.compiled
-        if compiled:
-            by_txn = self._compiled_peers(registered, skip=None)
-            matrix = registered.matrix
-            inv_id = matrix.op_id[invocation.operation]
-            others = sorted(t for t in by_txn if t != txn)
-        else:
-            by_txn = self._active_entries_by_txn(txn, shared, skip=None)
-            others = sorted(by_txn)
+        by_txn = self._active_peers(registered, skip=None)
+        inv_id = matrix.op_id[invocation.operation]
+        others = sorted(t for t in by_txn if t != txn)
         pre_graph = _PreGraph(shared.adt, pre_state, self.stats)
         blockers: set[TxnId] = set()
         verdicts: dict[TxnId, tuple[Dependency, _DepEvidence, int]] = {}
         for other_txn in others:
             evaluations_before = self.stats.condition_evaluations
-            if compiled:
-                dependency, evidence = self._pair_dependency_compiled(
-                    shared,
-                    matrix,
-                    inv_id,
-                    invocation,
-                    preview_returned,
-                    preview_trace,
-                    pre_graph,
-                    by_txn[other_txn],
-                    other_txn,
-                    skip=None,
-                )
-            else:
-                dependency, evidence = self._pair_dependency(
-                    shared,
-                    flat,
-                    invocation,
-                    preview_returned,
-                    preview_trace,
-                    pre_graph,
-                    by_txn[other_txn],
-                    other_txn,
-                    skip=None,
-                )
+            dependency, evidence = self._pair_dependency(
+                shared,
+                matrix,
+                inv_id,
+                invocation,
+                preview_returned,
+                preview_trace,
+                pre_graph,
+                by_txn[other_txn],
+                other_txn,
+                skip=None,
+            )
             verdicts[other_txn] = (
                 dependency,
                 evidence,

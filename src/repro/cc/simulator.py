@@ -28,6 +28,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
+from repro.cc.harness import poison_execution_cache
 from repro.cc.metrics import RunMetrics
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.transaction import TxnId
@@ -98,11 +99,6 @@ class SimulationConfig:
     #: Trace-event sink threaded through the scheduler; event timestamps
     #: are sim-clock times.  ``None`` means the zero-overhead NullTracer.
     tracer: Tracer | None = None
-    #: Run the scheduler's compiled hot path (integer conflict matrices,
-    #: codegen executors — :mod:`repro.perf.codegen`).  ``False`` selects
-    #: the pure-Python reference structures; transcripts are bit-identical
-    #: either way (``repro simulate --no-compiled`` flips this).
-    compiled: bool = True
     #: Optional :class:`~repro.robust.faults.FaultPlan` (duck-typed, so
     #: ``repro.cc`` stays import-independent of ``repro.robust``)
     #: consulted at the named fault points.  ``None`` — and likewise an
@@ -154,9 +150,7 @@ def simulate_with_scheduler(
             f"unknown restart policy {config.restart_policy!r}"
         )
     tracer = config.tracer if config.tracer is not None else NULL_TRACER
-    scheduler = TableDrivenScheduler(
-        policy=config.policy, tracer=tracer, compiled=config.compiled
-    )
+    scheduler = TableDrivenScheduler(policy=config.policy, tracer=tracer)
     if config.scheduler_wrapper is not None:
         scheduler = config.scheduler_wrapper(scheduler)
     plan = config.fault_plan
@@ -213,18 +207,7 @@ def simulate_with_scheduler(
         nonlocal scheduler
         mode = plan.cache_poison()
         if mode:
-            cache = getattr(scheduler, "execution_cache", None)
-            if cache is not None:
-                if mode == "evict":
-                    cache.chaos_evict()
-                else:
-                    cache.chaos_corrupt()
-            # The compiled transition memo fronts the cache with the same
-            # class of derived record; drop it so the poison is reachable
-            # (otherwise memo hits would shield every future read).
-            shadow = getattr(scheduler, "shadow_index", None)
-            if shadow is not None:
-                shadow().chaos_drop_memo()
+            poison_execution_cache(scheduler, mode)
             emit_fault(now, "cache_poison", detail=mode)
         if plan.crash() and hasattr(scheduler, "reincarnate"):
             emit_fault(now, "crash")

@@ -2,7 +2,7 @@
 
 The optimized scheduler owes its speed to derived structures — the
 :class:`~repro.perf.shadow.ShadowStateIndex`, the precompiled
-:class:`~repro.perf.flat_table.FlatTable`, the
+:class:`~repro.perf.codegen.ConflictMatrix`, the
 :class:`~repro.perf.cache.ExecutionCache` — every one of which is
 *redundant*: each can be rebuilt from the authoritative state (object
 logs, compatibility tables, operation specs).  Redundancy is what makes
@@ -35,7 +35,7 @@ On violation the monitor walks the **degradation ladder**:
 1. emit :class:`~repro.obs.events.InvariantViolated` (one per failed
    invariant) and count it;
 2. **quarantine** — ``rebuild_fast_paths()``: drop the shadow index,
-   clear the execution cache, recompile flat tables; recheck;
+   clear the execution cache, recompile conflict matrices; recheck;
 3. **degrade** — replay the decision log into a bit-parity
    :class:`~repro.cc.reference.ReferenceScheduler` (no fast paths at
    all) and continue on it, emitting

@@ -11,13 +11,9 @@ path), so every loop feature — batching, ready-callbacks, adaptive
 switching, latency phases — works identically against one shard or
 many.
 
-The backends take a *pre-built* scheduler, so the serving layer inherits
-whatever dispatch mode it was constructed with — by default the compiled
-hot path (``TableDrivenScheduler(compiled=True)``: integer conflict
-matrices and codegen executors; see ``docs/PERFORMANCE.md``, "Compiled
-dispatch").  Pass ``compiled=False`` at construction to serve on the
-pure-Python reference structures; decisions are bit-identical either
-way.
+The backends take a *pre-built* scheduler, so the serving layer runs on
+the scheduler's compiled hot path (integer conflict matrices and codegen
+executors; see ``docs/PERFORMANCE.md``, "Compiled dispatch").
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Covers the tentpole's correctness edges:
 
 * :class:`ConflictMatrix` agrees cell-for-cell with the
-  :class:`~repro.perf.flat_table.FlatTable` it supersedes, for every
+  :class:`~repro.core.table.CompatibilityTable` it compiles, for every
   builtin ADT's derived table;
 * the ``exec``-generated executors are bit-identical to
   :func:`~repro.spec.adt.execute_uncached` over the full enumerated
@@ -12,7 +12,9 @@ Covers the tentpole's correctness edges:
 * degenerate shapes: a single-operation ADT (1x1 matrix) and an
   all-conflict table (empty ND bitmasks, the fast path never fires);
 * two ADTs sharing operation names on one compiled scheduler — the
-  dense integer-id spaces are per-artefact, so names can never collide;
+  dense integer-id spaces are per-artefact, so names can never collide
+  (the degenerate and shared-name runs are checked against the seed
+  :class:`~repro.cc.reference.ReferenceScheduler`);
 * the :class:`~repro.perf.cache.ExecutionCache` extensions the compiled
   path rides on: the pluggable ``executor`` miss handler and the batched
   ``get_or_execute_batch`` lookup.
@@ -38,7 +40,7 @@ from repro.perf.codegen import (
     compile_adt,
     compiled_execute,
 )
-from repro.perf.flat_table import FlatTable
+from repro.cc.reference import ReferenceScheduler
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.spec.adt import ADTSpec, EnumerationBounds, execute_uncached
 from repro.spec.operation import Invocation, OperationSpec
@@ -147,25 +149,28 @@ def _uniform_table(operations, dependency: Dependency) -> CompatibilityTable:
 
 
 # ----------------------------------------------------------------------
-# ConflictMatrix vs FlatTable
+# ConflictMatrix vs CompatibilityTable
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("adt_name", builtin_names())
-def test_matrix_agrees_with_flat_table(adt_name):
+def test_matrix_agrees_with_table_entries(adt_name):
     adt = make_adt(adt_name)
     table = _table(adt)
     matrix = ConflictMatrix.compile(table)
-    flat = FlatTable.compile(table)
     assert matrix.operations == tuple(table.operations)
     for invoked in table.operations:
         i = matrix.op_id[invoked]
         for executing in table.operations:
             j = matrix.op_id[executing]
-            # The live entry is the same object the string path serves.
-            assert matrix.entry_at(i, j) is flat.entry(invoked, executing)
+            # The live entry is the same object the table serves.
+            source = table.entry(invoked, executing)
+            assert matrix.entry_at(i, j) is source
             is_nd = matrix.code(i, j) == ConflictMatrix.ND
-            assert is_nd == flat.is_unconditional_nd(invoked, executing)
+            assert is_nd == (
+                not source.is_conditional
+                and source.weakest() is Dependency.ND
+            )
             # A single-operation mask agrees with the cell code, so the
             # whole-transaction bitmask test can never diverge from the
             # per-entry loop.
@@ -188,10 +193,9 @@ def test_single_operation_matrix():
     assert matrix.code(0, 0) == ConflictMatrix.NON_ND
     assert not matrix.all_nd(0, 1)
     assert matrix.all_nd(0, 0)  # empty peer mask is trivially all-ND
-    # And the compiled scheduler schedules it identically to the
-    # reference structures.
-    assert _drive_counter(adt, table, compiled=True) == _drive_counter(
-        adt, table, compiled=False
+    # And the compiled scheduler schedules it identically to the seed.
+    assert _drive_counter(adt, table, _compiled()) == _drive_counter(
+        adt, table, ReferenceScheduler(policy="optimistic")
     )
 
 
@@ -205,17 +209,19 @@ def test_all_conflict_matrix_has_empty_nd_masks():
             assert matrix.code(i, j) == ConflictMatrix.NON_ND
             assert not matrix.all_nd(i, 1 << j)
     adt = CounterSpec(ops=("Tick", "Add", "Read"))
-    assert _drive_counter(adt, table, compiled=True) == _drive_counter(
-        adt, table, compiled=False
+    assert _drive_counter(adt, table, _compiled()) == _drive_counter(
+        adt, table, ReferenceScheduler(policy="optimistic")
     )
 
 
-def _drive_counter(adt, table, compiled: bool):
+def _compiled() -> TableDrivenScheduler:
+    return TableDrivenScheduler(
+        policy="optimistic", execution_cache=ExecutionCache()
+    )
+
+
+def _drive_counter(adt, table, scheduler):
     """Two interleaved transactions over one counter; full decision log."""
-    scheduler = TableDrivenScheduler(
-        policy="optimistic", compiled=compiled,
-        execution_cache=ExecutionCache(),
-    )
     scheduler.register_object("ctr", adt, table)
     decisions = []
     t1, t2 = scheduler.begin(), scheduler.begin()
@@ -304,11 +310,7 @@ def test_shared_operation_names_do_not_collide():
         compile_adt(stack).operations != compile_adt(qstack).operations
     )
 
-    def run(compiled: bool):
-        scheduler = TableDrivenScheduler(
-            policy="optimistic", compiled=compiled,
-            execution_cache=ExecutionCache(),
-        )
+    def run(scheduler):
         scheduler.register_object("s", stack, _table(stack))
         scheduler.register_object("q", qstack, _table(qstack))
         out = []
@@ -343,7 +345,7 @@ def test_shared_operation_names_do_not_collide():
         out.append(scheduler.stats.seed_counters())
         return out
 
-    assert run(compiled=True) == run(compiled=False)
+    assert run(_compiled()) == run(ReferenceScheduler(policy="optimistic"))
 
 
 # ----------------------------------------------------------------------

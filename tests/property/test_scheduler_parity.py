@@ -1,18 +1,22 @@
 """Parity: the optimized scheduler is bit-identical to the seed reference.
 
-The hot-path optimizations (incremental shadow states, per-request context
-reuse, preview-verdict memoization, flattened tables — see
-``docs/PERFORMANCE.md``) must not change a single observable decision.
-These tests drive identical seeded workloads through the optimized
-:class:`~repro.cc.scheduler.TableDrivenScheduler` and the frozen
-:class:`~repro.cc.reference.ReferenceScheduler` and require equal
-transcripts: every ``OpDecision`` and ``CommitDecision`` in issue order,
-the recorded dependency edges, final per-transaction statuses, the final
-object state, and the seed-comparable ``SchedulerStats`` counters.
+The hot-path optimizations (incremental shadow states and their
+transition memo, per-request context reuse, preview-verdict memoization,
+integer conflict matrices, the incremental peer index and codegen
+executors — see ``docs/PERFORMANCE.md``) must not change a single
+observable decision.  These tests drive identical seeded workloads
+through the optimized :class:`~repro.cc.scheduler.TableDrivenScheduler`
+and the frozen :class:`~repro.cc.reference.ReferenceScheduler` and
+require equal transcripts: every ``OpDecision`` and ``CommitDecision`` in
+issue order, the recorded dependency edges, final per-transaction
+statuses, the final object state, and the seed-comparable
+``SchedulerStats`` counters (including ``condition_evaluations`` — the
+bitmask fast path must account exactly the work it displaces).
 
 Coverage: every builtin ADT x both policies x 20 seeded workloads each
 (with voluntary aborts and varying concurrency, so cascades, blocking,
-deadlock victims and replay invalidation all appear in the stream).
+peer-index invalidation, deadlock victims and replay invalidation all
+appear in the stream), plus a mid-run quarantine rebuild.
 """
 
 from __future__ import annotations
@@ -100,15 +104,42 @@ def test_optimizations_actually_engage():
         scheduler.stats.shadow_full_replays
         + scheduler.stats.shadow_replays_avoided
     )
-    # Compiled (the default): the shadow transition memo fronts the
-    # execution cache, so repeated transitions show up there instead.
+    # The shadow transition memo fronts the execution cache, so repeated
+    # transitions show up there; its misses must still reach the cache.
     assert scheduler.stats.compiled_memo_hits > 0
-    # The pure-Python reference path must still route its repeated
-    # transitions through the execution cache.
-    reference = TableDrivenScheduler(policy="optimistic", compiled=False)
-    drive(reference, make_adt("Account"), table, workload)
-    cache = reference.execution_cache.stats()
-    assert cache.hits > 0, "scheduler traffic must flow through the cache"
+    cache = scheduler.execution_cache.stats()
+    assert cache.misses > 0, "memo misses must flow through the cache"
+
+
+def test_rebuild_fast_paths_preserves_parity():
+    """The quarantine rung recompiles matrices and resets the shadow and
+    peer indexes; decisions after a mid-run rebuild must match an
+    untouched reference run."""
+    adt = make_adt("QStack")
+    table = _table(adt)
+    workload, concurrency = _workload(adt, 4)
+
+    def checkpoint(index, scheduler):
+        if index == 7:
+            scheduler.rebuild_fast_paths()
+        return None
+
+    rebuilt = drive(
+        TableDrivenScheduler(policy="optimistic"),
+        adt,
+        table,
+        workload,
+        concurrency=concurrency,
+        checkpoint=checkpoint,
+    )
+    reference = drive(
+        ReferenceScheduler(policy="optimistic"),
+        adt,
+        table,
+        workload,
+        concurrency=concurrency,
+    )
+    assert rebuilt == reference
 
 
 def test_preview_reuse_engages_under_blocking():

@@ -213,6 +213,52 @@ class TestStreamIndependence:
         assert plan._streams["replica_crash"].getstate() == before
 
 
+class TestCachePoison:
+    def test_drive_poison_drops_the_transition_memo(self):
+        # The shadow index's transition memo fronts the execution cache;
+        # a cache_poison fault that left it in place would shield shadow
+        # reads from the injected corruption.  Both drivers must drop it.
+        from repro.adts.account import AccountSpec
+        from repro.cc.harness import drive
+        from repro.cc.scheduler import TableDrivenScheduler
+        from repro.cc.workload import WorkloadConfig, generate
+        from repro.core.methodology import derive
+
+        adt = AccountSpec()
+        workload = generate(
+            adt,
+            "obj",
+            WorkloadConfig(
+                transactions=6,
+                operations_per_transaction=5,
+                operation_mix={"Deposit": 1.0},
+                seed=7,
+            ),
+        )
+        plan = FaultPlan(3, FaultSpec(cache_poison_rate=0.3))
+        poisons_seen = 0
+        after_poison, otherwise = [], []
+
+        def checkpoint(index, scheduler):
+            nonlocal poisons_seen
+            poisons = sum(r.kind == "cache_poison" for r in plan.records)
+            memo = scheduler.shadow_index()._memo
+            size = sum(len(per) for per in memo.values())
+            (after_poison if poisons > poisons_seen else otherwise).append(size)
+            poisons_seen = poisons
+
+        drive(
+            TableDrivenScheduler(policy="optimistic"),
+            adt,
+            derive(adt).final_table,
+            workload,
+            checkpoint=checkpoint,
+            fault_plan=plan,
+        )
+        assert after_poison and all(size == 0 for size in after_poison)
+        assert any(size > 0 for size in otherwise)
+
+
 class TestRobustStats:
     def test_counters_by_kind_track_records(self):
         plan = FaultPlan(11, FaultSpec.storm(0.3))
