@@ -45,7 +45,7 @@ from repro.obs.events import (
     RecoveryCompleted,
     RecoveryStarted,
 )
-from repro.spec.adt import ADTSpec, AbstractState
+from repro.spec.adt import ADTSpec, AbstractState, render_state
 
 __all__ = ["Transcript", "drive", "poison_execution_cache"]
 
@@ -90,7 +90,8 @@ class Transcript:
     edges: tuple[tuple[tuple[TxnId, TxnId], str], ...]
     #: Final per-transaction statuses, by transaction id.
     statuses: tuple[tuple[TxnId, str], ...]
-    #: repr of the final object state (abstract states are not hashable).
+    #: The final object state, rendered by :func:`~repro.spec.adt.render_state`
+    #: (abstract states are not hashable).
     final_state: str
     #: The seed-comparable scheduler counters, sorted by name.
     seed_stats: tuple[tuple[str, int], ...]
@@ -291,7 +292,7 @@ def drive(
     # Re-fetched from the (possibly checkpoint-swapped) scheduler rather
     # than the registration-time object: after a crash swap the live
     # object belongs to the recovered scheduler.
-    final_state = repr(scheduler.object(object_name).state())
+    final_state = render_state(scheduler.object(object_name).state())
     return Transcript(
         op_decisions=tuple(ops),
         resolutions=tuple(resolutions),

@@ -6,12 +6,19 @@ an *operation log* — the global execution order of (transaction,
 invocation) pairs — which is the basis of recovery:
 
 When a transaction aborts, its operations are removed from the log and the
-remaining operations are **replayed from the initial state** (footnote 1
-of the paper: "p's changes have to be undone and possibly q's, and the
-changes of q must be reapplied").  Replay also *re-verifies* the return
-values of the surviving active transactions: if a surviving operation
-would now return something different, the information it handed to its
-transaction was invalidated, and the object reports those transactions so
+remaining operations are **replayed from the recovery baseline** (footnote
+1 of the paper: "p's changes have to be undone and possibly q's, and the
+changes of q must be reapplied").  The baseline starts as the
+registration state; :meth:`SharedObject.forget` folds the longest log
+prefix of resolved transactions into it, so a scheduler that forgets
+after every resolution replays only the active window, never the whole
+history.  The registration state itself is kept apart
+(:attr:`SharedObject.initial_state`): serial-replay checks start there.
+
+Replay also *re-verifies* the return values of the surviving active
+transactions: if a surviving operation would now return something
+different, the information it handed to its transaction was
+invalidated, and the object reports those transactions so
 the scheduler can cascade the abort.  A sound compatibility table makes
 such collateral aborts impossible beyond the recorded AD edges — the
 property checked by the scheduler-soundness experiment (X5).
@@ -20,6 +27,7 @@ property checked by the scheduler-soundness experiment (X5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.cc.transaction import TxnId
 from repro.graph.instrument import EdgeAttribution, InstrumentedGraph, LocalityTrace
@@ -67,6 +75,7 @@ class SharedObject:
         self._initial_state = (
             adt.initial_state() if initial_state is None else initial_state
         )
+        self._baseline = self._initial_state
         self._graph: ObjectGraph = adt.build_graph(self._initial_state)
         self._log: list[AppliedOperation] = []
 
@@ -81,8 +90,22 @@ class SharedObject:
 
     @property
     def initial_state(self) -> AbstractState:
-        """The recovery baseline (the state all replays start from)."""
+        """The registration state, fixed for the object's lifetime.
+
+        The origin of serial-replay checks, which re-execute every
+        committed transaction; recovery replays start at
+        :attr:`baseline` instead.
+        """
         return self._initial_state
+
+    @property
+    def baseline(self) -> AbstractState:
+        """The recovery baseline: the state the operation log replays from.
+
+        Equal to :attr:`initial_state` until :meth:`forget` folds a
+        resolved log prefix into it.
+        """
+        return self._baseline
 
     def state(self) -> AbstractState:
         """The current abstract state."""
@@ -106,11 +129,9 @@ class SharedObject:
 
     def execute(self, txn: TxnId, invocation: Invocation) -> AppliedOperation:
         """Execute an invocation on the live state and log it."""
-        view = InstrumentedGraph(self._graph, attribution=self.attribution)
-        operation = self.adt.operation(invocation.operation)
-        returned = operation.execute(view, *invocation.args)
+        returned, trace = self._run(self._graph, invocation)
         applied = AppliedOperation(
-            txn=txn, invocation=invocation, returned=returned, trace=view.trace
+            txn=txn, invocation=invocation, returned=returned, trace=trace
         )
         self._log.append(applied)
         return applied
@@ -134,11 +155,7 @@ class SharedObject:
         it can be intersected with traces already recorded on the object —
         the basis of the scheduler's runtime conflict certification.
         """
-        scratch = self._graph.clone()
-        view = InstrumentedGraph(scratch, attribution=self.attribution)
-        operation = self.adt.operation(invocation.operation)
-        returned = operation.execute(view, *invocation.args)
-        return returned, view.trace
+        return self._run(self._graph.clone(), invocation)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -155,13 +172,11 @@ class SharedObject:
         the soundness experiments can detect violations.
         """
         survivors = [entry for entry in self._log if entry.txn not in txns]
-        self._graph = self.adt.build_graph(self._initial_state)
+        self._graph = self.adt.build_graph(self._baseline)
         invalidated: set[TxnId] = set()
         replayed: list[AppliedOperation] = []
         for entry in survivors:
-            view = InstrumentedGraph(self._graph, attribution=self.attribution)
-            operation = self.adt.operation(entry.invocation.operation)
-            returned = operation.execute(view, *entry.invocation.args)
+            returned, trace = self._run(self._graph, entry.invocation)
             if returned != entry.returned:
                 invalidated.add(entry.txn)
             replayed.append(
@@ -169,45 +184,54 @@ class SharedObject:
                     txn=entry.txn,
                     invocation=entry.invocation,
                     returned=entry.returned,
-                    trace=view.trace,
+                    trace=trace,
                 )
             )
         self._log = replayed
         return invalidated
 
-    def forget(self, txn: TxnId) -> None:
-        """Drop a committed transaction's log entries (its effects stay).
+    def forget(self, resolved: Callable[[TxnId], bool]) -> int:
+        """Fold the longest log prefix of resolved transactions into the baseline.
 
-        Committed work no longer needs recovery bookkeeping; trimming the
-        log keeps replay costs proportional to the active population.  The
-        committed effects are preserved by re-basing the initial state on
-        the current live state when the log becomes empty of other entries.
+        ``resolved(txn)`` says whether a logged transaction has resolved;
+        aborted entries have already left the log, so in practice it means
+        committed.  Folding stops at the first entry of a live transaction:
+        a resolved entry logged after it stays, because undoing the live
+        transaction must replay it.  A fully resolved log folds to the
+        live state, which is its replay; a shorter prefix is replayed from
+        the old baseline on a scratch graph.  Returns the number of entries
+        folded.
+
+        Executions are pure functions of the abstract state, so replays
+        from the folded baseline reproduce every return value and state a
+        replay from the registration state would; the live graph is left
+        alone.  The prefix replay deliberately bypasses every execution
+        memo: the baseline is authoritative state, and a poisoned cache
+        entry (a fault campaign's ``cache_poison``) must not leak into it.
         """
-        remaining = [entry for entry in self._log if entry.txn != txn]
-        if not remaining:
-            # Everything still logged is committed state: fold it into the
-            # recovery baseline.
-            self._initial_state = self.state()
-            self._log = []
-            return
-        # Only safe to drop a prefix: committed entries that precede every
-        # surviving active entry can be folded into the baseline.
-        kept = list(self._log)
-        while kept and kept[0].txn == txn:
-            kept.pop(0)
-        if len(kept) < len(self._log):
-            prefix = self._log[: len(self._log) - len(kept)]
-            baseline = self.adt.build_graph(self._initial_state)
-            for entry in prefix:
-                view = InstrumentedGraph(baseline, attribution=self.attribution)
-                operation = self.adt.operation(entry.invocation.operation)
-                operation.execute(view, *entry.invocation.args)
-            self._initial_state = self.adt.abstract_state(baseline)
-            self._log = kept
-        # Entries of ``txn`` interleaved after active entries must remain in
-        # the log (they are needed to replay correctly around the active
-        # transactions); they are labelled committed implicitly by the
-        # scheduler's transaction table.
+        log = self._log
+        folded = 0
+        while folded < len(log) and resolved(log[folded].txn):
+            folded += 1
+        if not folded:
+            return 0
+        if folded == len(log):
+            self._baseline = self.state()
+        else:
+            graph = self.adt.build_graph(self._baseline)
+            for entry in log[:folded]:
+                self._run(graph, entry.invocation)
+            self._baseline = self.adt.abstract_state(graph)
+        del log[:folded]
+        return folded
+
+    def _run(
+        self, graph: ObjectGraph, invocation: Invocation
+    ) -> tuple[ReturnValue, LocalityTrace]:
+        """Execute ``invocation`` on ``graph`` in place, instrumented."""
+        view = InstrumentedGraph(graph, attribution=self.attribution)
+        operation = self.adt.operation(invocation.operation)
+        return operation.execute(view, *invocation.args), view.trace
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SharedObject {self.name} state={self.state()!r}>"

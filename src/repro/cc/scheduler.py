@@ -37,6 +37,11 @@ escalation.  See :meth:`TableDrivenScheduler._pair_dependency`.
 O(active × log × replay) as in the seed (kept verbatim in
 :mod:`repro.cc.reference` as the parity oracle):
 
+* recovery logs are bounded: after every commit and rollback the
+  object's resolved log prefix is folded into its recovery baseline
+  (:meth:`~repro.cc.objects.SharedObject.forget`), and an abort rolls
+  back only the objects its transactions touched, so rollbacks and
+  index rebuilds replay the active window, never the history;
 * shadow-replay certification reads a
   :class:`~repro.perf.shadow.ShadowStateIndex` — per-transaction "log
   without that txn" states advanced incrementally on every grant and
@@ -114,7 +119,12 @@ from repro.obs.tracers import NULL_TRACER, Tracer
 from repro.perf.cache import ExecutionCache
 from repro.perf.codegen import ConflictMatrix, compiled_execute
 from repro.perf.shadow import ShadowStateIndex
-from repro.spec.adt import ADTSpec, AbstractState, active_execution_cache
+from repro.spec.adt import (
+    ADTSpec,
+    AbstractState,
+    active_execution_cache,
+    render_state,
+)
 from repro.spec.operation import Invocation
 from repro.spec.returnvalue import ReturnValue
 
@@ -306,8 +316,8 @@ class _PeerIndex:
     """Incrementally maintained active-peer entries of one shared object.
 
     Replaces a per-request log scan: appended on every grant, pruned
-    when a transaction commits, and marked stale when an abort rewrites
-    the log wholesale (the entries are replaced by fresh
+    when a transaction commits, and marked stale when an abort rolls the
+    object back (the surviving entries are replaced by fresh
     :class:`~repro.cc.objects.AppliedOperation` objects with new traces,
     so the index must rebuild from the authoritative log — the same
     epoch discipline the shadow index uses).
@@ -386,6 +396,9 @@ class TableDrivenScheduler:
         self._shadow = ShadowStateIndex(
             cache=self.execution_cache, stats=self.stats
         )
+        #: The object of a cycle victim's logged but unrecorded
+        #: operation, for the abort that rolls it back.
+        self._unrecorded_on: str | None = None
         self._next_txn: TxnId = 0
         self._sequence = 0
         self._commit_counter = 0
@@ -432,7 +445,7 @@ class TableDrivenScheduler:
                     time=self.now,
                     object_name=name,
                     adt=adt.name,
-                    initial_state=repr(shared.initial_state),
+                    initial_state=render_state(shared.initial_state),
                 )
             )
         return shared
@@ -554,7 +567,10 @@ class TableDrivenScheduler:
         )
         if recorded is None:
             # A cycle: the requester becomes the victim.  Its executed
-            # operation is rolled back with the rest of its effects.
+            # operation is rolled back with the rest of its effects; it
+            # is logged but not recorded, so name its object for the
+            # rollback.
+            self._unrecorded_on = object_name
             self.abort(txn, reason="dependency-cycle")
             return OpDecision(executed=False, aborted=True)
         # Only now does the shadow index learn about the grant: the
@@ -645,10 +661,13 @@ class TableDrivenScheduler:
             self._wait_for.pop(txn, None)
             # Committed transactions are never certified against again;
             # their shadow states would only cost maintenance, and their
-            # peer-index entries would only cost a skipped iteration.
-            for name in self._objects:
+            # peer-index entries would only cost a skipped iteration.  Only
+            # the objects the transaction touched can hold either, and only
+            # their logs can have gained a resolved prefix to forget.
+            for name in {record.object_name for record in transaction.records}:
                 self._shadow.forget(name, txn)
                 self._peers[name].by_txn.pop(txn, None)
+                self._forget_resolved(name)
             if self.tracer:
                 self.tracer.emit(
                     TxnCommitted(
@@ -727,18 +746,36 @@ class TableDrivenScheduler:
             self.tracer.emit(TxnAborted(time=self.now, txn=txn, reason=reason))
             for t in sorted(cascade):
                 self.tracer.emit(CascadeAborted(time=self.now, txn=t, root=txn))
+        # Only objects holding an entry of an aborting transaction need a
+        # rollback: its records, plus the cycle victim's logged but
+        # unrecorded operation.  Untouched objects hold no shadow state or
+        # peer entry of an aborting transaction (both are keyed by logged
+        # peers), so they are left as they are.
+        touched = {
+            record.object_name
+            for t in all_aborting
+            for record in self._txns[t].records
+        }
+        if self._unrecorded_on is not None:
+            touched.add(self._unrecorded_on)
+            self._unrecorded_on = None
         collateral: set[TxnId] = set()
-        for registered in self._objects.values():
-            invalidated = registered.shared.remove_transactions(all_aborting)
+        for name in self._objects:
+            if name not in touched:
+                continue
+            invalidated = self._objects[name].shared.remove_transactions(
+                all_aborting
+            )
             collateral |= {
                 t for t in invalidated if self.transaction(t).is_active
             }
-        # The rollback rewrote every object's log; every maintained
-        # shadow state — and every peer-index entry, whose log objects
-        # were replaced by the replay — is stale.  Epoch-invalidate and
-        # rebuild lazily.
-        self._shadow.invalidate()
-        for index in self._peers.values():
+            self._forget_resolved(name)
+            # The rollback rewrote the log: every maintained shadow state
+            # — and every peer-index entry, whose log objects were
+            # replaced by the replay — is stale.  Epoch-invalidate and
+            # rebuild lazily.
+            self._shadow.invalidate(name)
+            index = self._peers[name]
             index.stale = True
             index.by_txn = {}
         return cascade, list(collateral)
@@ -870,6 +907,17 @@ class TableDrivenScheduler:
             return self._objects[name]
         except KeyError:
             raise SchedulerError(f"object {name!r} is not registered") from None
+
+    def _forget_resolved(self, name: str) -> None:
+        """Fold the object's resolved log prefix into its recovery baseline.
+
+        Called wherever a log head can have resolved (a commit or a
+        rollback on the object), so every log is empty or starts with an
+        active transaction's entry, and recovery replays only the active
+        window.
+        """
+        txns = self._txns
+        self._objects[name].shared.forget(lambda t: not txns[t].is_active)
 
     def _note_peer_entry(
         self,

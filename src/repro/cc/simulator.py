@@ -45,7 +45,7 @@ from repro.obs.events import (
     RunStarted,
 )
 from repro.obs.tracers import NULL_TRACER, Tracer
-from repro.spec.adt import ADTSpec, AbstractState
+from repro.spec.adt import ADTSpec, AbstractState, render_state
 
 __all__ = ["ObjectConfig", "SimulationConfig", "simulate", "simulate_with_scheduler"]
 
@@ -430,7 +430,7 @@ def simulate_with_scheduler(
                 committed=metrics.committed,
                 aborted=metrics.aborted,
                 final_states=tuple(
-                    (name, repr(scheduler.object(name).state()))
+                    (name, render_state(scheduler.object(name).state()))
                     for name in scheduler.object_names()
                 ),
             )

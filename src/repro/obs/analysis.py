@@ -254,7 +254,7 @@ class TracedRun:
     commit_sequence: dict[int, int] = field(default_factory=dict)
     #: (later, earlier) dependency edges recorded during the run
     edges: set[tuple[int, int]] = field(default_factory=set)
-    #: object name -> repr of the final abstract state (when recorded)
+    #: object name -> rendered final abstract state (when recorded)
     final_states: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -315,7 +315,7 @@ def _replay(run: TracedRun, adts: dict[str, Any], order: Sequence[int]) -> bool:
     return value must be reproduced, and — when the trace recorded final
     states — the replayed final states must match them.
     """
-    from repro.spec.adt import execute_invocation
+    from repro.spec.adt import execute_invocation, render_state
     from repro.spec.operation import Invocation
     from repro.spec.returnvalue import ReturnValue
 
@@ -332,7 +332,12 @@ def _replay(run: TracedRun, adts: dict[str, Any], order: Sequence[int]) -> bool:
                 return False
             states[op.object_name] = execution.post_state
     for object_name, final_repr in run.final_states.items():
-        if object_name in states and repr(states[object_name]) != final_repr:
+        if object_name not in states:
+            continue
+        # Canonical on both sides: traces recorded before states were
+        # rendered canonically hold set elements in hash order.
+        expected = render_state(parse_literal(final_repr))
+        if render_state(states[object_name]) != expected:
             return False
     return True
 

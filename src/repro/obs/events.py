@@ -122,9 +122,10 @@ class RunStarted(TraceEvent):
 class ObjectRegistered(TraceEvent):
     """A shared object joined the run.
 
-    ``initial_state`` is the ``repr`` of the object's abstract initial
-    state; trace-based replay parses it back with
-    :func:`repro.obs.analysis.parse_literal`.
+    ``initial_state`` is the object's abstract initial state rendered by
+    :func:`repro.spec.adt.render_state` (the reference scheduler, kept
+    verbatim, renders it by ``repr``); trace-based replay parses it back
+    with :func:`repro.obs.analysis.parse_literal`.
     """
 
     type: ClassVar[str] = "object_registered"
@@ -276,7 +277,11 @@ class StageTimed(TraceEvent):
 @_register
 @dataclass(frozen=True)
 class RunCompleted(TraceEvent):
-    """A simulated run finished; final object states are recorded by repr."""
+    """A simulated run finished.
+
+    ``final_states`` pairs each object name with its final abstract state
+    rendered by :func:`repro.spec.adt.render_state`.
+    """
 
     type: ClassVar[str] = "run_completed"
     committed: int = 0

@@ -15,13 +15,17 @@ maintained state by exactly one (memoized) execution — O(active) per
 request — and a shadow query is then a single execution against the
 maintained state.
 
-Invalidation is by **epoch**: aborts rewrite the log wholesale
-(:meth:`repro.cc.objects.SharedObject.remove_transactions` erases the
-aborted transactions' entries and replays the survivors), so any abort
-bumps the object's epoch, which discards every maintained state in O(1);
-each is rebuilt by one full replay on its next query.  Aborts are rare
-relative to requests, so the amortized O(active) regime resumes
-immediately after.
+Invalidation is by **epoch**: an abort rewrites the log of every object
+the aborted transactions touched
+(:meth:`repro.cc.objects.SharedObject.remove_transactions` erases their
+entries and replays the survivors), so the scheduler bumps those
+objects' epochs, which discards their maintained states in O(1); each is
+rebuilt by one replay from the object's recovery baseline on its next
+query.  Aborts are rare relative to requests, so the amortized O(active)
+regime resumes immediately after.  Folding a resolved log prefix into
+the baseline (:meth:`repro.cc.objects.SharedObject.forget`) invalidates
+nothing: the folded entries precede every active transaction's entries,
+so every "log minus txn" replay is unchanged.
 
 Incremental steps and shadow queries go through a per-object
 **transition memo**: ``invocation -> state -> Execution`` plain dicts,
@@ -267,7 +271,7 @@ class ShadowStateIndex:
         return execution
 
     def _replay_without(self, shared, exclude_txn: int, skip) -> AbstractState:
-        state = shared.initial_state
+        state = shared.baseline
         for entry in shared.log():
             if entry is skip or entry.txn == exclude_txn:
                 continue

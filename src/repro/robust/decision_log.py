@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable
 
 from repro.errors import RecoveryError
+from repro.spec.adt import render_state
 from repro.spec.operation import Invocation
 
 __all__ = [
@@ -326,7 +327,11 @@ class LoggingScheduler:
     def register_object(self, name, adt, table, initial_state=None):
         shared = self.inner.register_object(name, adt, table, initial_state)
         self.log.note_register(
-            name, adt, table, shared.initial_state, repr(shared.initial_state)
+            name,
+            adt,
+            table,
+            shared.initial_state,
+            render_state(shared.initial_state),
         )
         return shared
 

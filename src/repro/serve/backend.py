@@ -18,6 +18,8 @@ executors; see ``docs/PERFORMANCE.md``, "Compiled dispatch").
 
 from __future__ import annotations
 
+from repro.spec.adt import render_state
+
 __all__ = ["SchedulerBackend", "ClusterBackend"]
 
 
@@ -110,7 +112,7 @@ class SchedulerBackend:
             (txn, scheduler.transaction(txn).status.name)
             for txn in range(admitted)
         )
-        final_state = repr(scheduler.object(object_name).state())
+        final_state = render_state(scheduler.object(object_name).state())
         seed_stats = tuple(
             sorted(scheduler.stats.seed_counters().items())
         )

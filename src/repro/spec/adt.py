@@ -36,12 +36,32 @@ __all__ = [
     "Execution",
     "execute_invocation",
     "post_state_of",
+    "render_state",
     "install_execution_cache",
     "active_execution_cache",
 ]
 
 #: Abstract states are opaque hashable values.
 AbstractState = Hashable
+
+
+def render_state(state: AbstractState) -> str:
+    """The canonical text of an abstract state: ``repr``, sets sorted.
+
+    ``repr`` prints a ``frozenset`` in hash order, which for string
+    elements varies with ``PYTHONHASHSEED``; traces, transcripts and
+    reports render states through this function so that they do not.
+    Elements sort by their own rendering (so mixed-type sets sort too),
+    tuples render element-wise, and the result still parses with
+    :func:`repro.obs.analysis.parse_literal`.
+    """
+    if type(state) is frozenset and state:
+        inner = ", ".join(sorted(render_state(element) for element in state))
+        return f"frozenset({{{inner}}})"
+    if type(state) is tuple:
+        inner = ", ".join(render_state(element) for element in state)
+        return f"({inner},)" if len(state) == 1 else f"({inner})"
+    return repr(state)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def replay_without(shared: SharedObject, exclude_txn: int, skip=None):
     """The ground truth the index must always agree with."""
     from repro.spec.adt import execute_invocation
 
-    state = shared.initial_state
+    state = shared.baseline
     for entry in shared.log():
         if entry is skip or entry.txn == exclude_txn:
             continue
