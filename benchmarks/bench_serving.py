@@ -35,8 +35,6 @@ Configurations (all seeded, byte-stable):
   faults >= ``--min-degraded-goodput`` (default 0.5) of nominal, the
   served history stays serializable, and no shed or expired request
   appears committed (``no_resurrection``).
-* ``harness_parity`` — the poll-mode serving loop must reproduce
-  :func:`repro.cc.harness.drive`'s transcript bit for bit.
 """
 
 from __future__ import annotations
@@ -51,11 +49,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.adts.registry import make_adt  # noqa: E402
-from repro.cc.harness import drive  # noqa: E402
 from repro.cc.scheduler import TableDrivenScheduler  # noqa: E402
 from repro.cc.serializability import is_serializable  # noqa: E402
-from repro.cc.workload import WorkloadConfig  # noqa: E402
-from repro.cc.workload import generate as cc_generate  # noqa: E402
 from repro.core.methodology import derive as derive_table  # noqa: E402
 from repro.dist.audit import audit_global  # noqa: E402
 from repro.dist.cluster import Cluster, ClusterFrontend  # noqa: E402
@@ -71,7 +66,6 @@ from repro.serve import (  # noqa: E402
     ServeConfig,
     ServingLoop,
     ShedConfig,
-    from_cc_workload,
     generate,
 )
 
@@ -135,7 +129,6 @@ CONFIG_NAMES = (
     "dist_4shard",
     "qstack_overload_nominal",
     "qstack_overload_faults",
-    "harness_parity",
 )
 
 
@@ -285,42 +278,6 @@ def _overload_run(load: float, with_faults: bool):
     return result, is_serializable(scheduler), no_resurrection
 
 
-def _parity_run() -> dict:
-    """Poll-mode serving vs ``drive``: transcripts must be identical."""
-    adt = make_adt("QStack")
-    table = derive_table(adt).final_table
-    config = WorkloadConfig(
-        transactions=10,
-        operations_per_transaction=4,
-        abort_probability=0.1,
-        seed=1991,
-    )
-    workload = cc_generate(adt, "obj", config)
-    started = time.perf_counter()
-    reference = drive(
-        TableDrivenScheduler(policy="blocking"), adt, table, workload,
-        concurrency=4,
-    )
-    backend = SchedulerBackend(TableDrivenScheduler(policy="blocking"))
-    backend.register_object("obj", adt, table)
-    result = ServingLoop(
-        backend, from_cc_workload(workload), max_inflight=4, retry="poll"
-    ).run()
-    wall = time.perf_counter() - started
-    return {
-        "kind": "parity",
-        "adt": "QStack",
-        "policy": "blocking",
-        "mode": "poll",
-        "max_inflight": 4,
-        "requests": result.requests,
-        "committed": result.committed,
-        "aborted": result.aborted,
-        "parity": result.transcript == reference,
-        "wall_seconds": round(wall, 6),
-    }
-
-
 def measure_serving(config_names=CONFIG_NAMES) -> dict:
     """The BENCH_serving.json payload for the named configs."""
     results: dict[str, dict] = {}
@@ -432,8 +389,6 @@ def measure_serving(config_names=CONFIG_NAMES) -> dict:
                     "faulty": with_faults,
                 },
             )
-        elif name == "harness_parity":
-            results[name] = _parity_run()
         else:
             raise SystemExit(f"unknown config {name!r}")
 
@@ -474,10 +429,6 @@ def check_thresholds(
         if entry.get("no_resurrection") is False:
             failures.append(
                 f"{name}: a shed or expired request appears committed"
-            )
-        if entry.get("parity") is False:
-            failures.append(
-                f"{name}: poll-mode serving transcript differs from drive()"
             )
     serial = results.get("account_serial")
     batched = results.get("account_batched")
@@ -555,18 +506,12 @@ def main(argv: list[str] | None = None) -> int:
     payload = measure_serving(args.configs)
     path = write_baseline(payload, args.out)
     for name, entry in payload["results"].items():
-        line = (
+        print(
             f"{name:26} committed={entry['committed']:>3} "
-            f"aborted={entry['aborted']:>3}"
+            f"aborted={entry['aborted']:>3} "
+            f"goodput/t={entry['sim_throughput']:>7.3f} "
+            f"p99={entry['p99_e2e']:>7.2f}"
         )
-        if "sim_throughput" in entry:
-            line += (
-                f" goodput/t={entry['sim_throughput']:>7.3f} "
-                f"p99={entry['p99_e2e']:>7.2f}"
-            )
-        if "parity" in entry:
-            line += f" parity={entry['parity']}"
-        print(line)
     print(f"wrote {path}")
 
     failures = check_thresholds(

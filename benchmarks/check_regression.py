@@ -80,8 +80,7 @@ def _serving_metrics(payload: dict) -> dict:
     results = payload["results"]
     metrics: dict[str, float | bool] = {}
     for config, entry in results.items():
-        for flag in ("parity", "serializable", "audit_passed",
-                     "no_resurrection"):
+        for flag in ("serializable", "audit_passed", "no_resurrection"):
             if flag in entry:
                 metrics[f"{config}.{flag}"] = entry[flag]
         # Serving throughput is *sim-time* goodput — deterministic from

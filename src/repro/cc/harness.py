@@ -47,18 +47,23 @@ from repro.obs.events import (
 )
 from repro.spec.adt import ADTSpec, AbstractState, render_state
 
-__all__ = ["Transcript", "drive", "poison_execution_cache"]
+__all__ = [
+    "Transcript",
+    "drive",
+    "inject_scheduler_faults",
+    "poison_execution_cache",
+]
 
 
 def poison_execution_cache(scheduler, mode: str) -> None:
     """Apply one ``cache_poison`` fault (``"evict"`` or ``"corrupt"``).
 
-    The shared fault body of both drivers.  The shadow index's transition
-    memo fronts the cache with the same class of derived record, so it is
-    dropped too; otherwise memo hits would shield every future read from
-    the poison.  Schedulers without a cache or a shadow index (the
-    degraded :class:`~repro.cc.reference.ReferenceScheduler`) skip the
-    parts they lack.
+    The shadow index's transition memo fronts the cache with the same
+    class of derived record, so it is dropped too; otherwise memo hits
+    would shield every future read from the poison.  Schedulers without
+    a cache or a shadow index (the degraded
+    :class:`~repro.cc.reference.ReferenceScheduler`) skip the parts they
+    lack.
     """
     cache = getattr(scheduler, "execution_cache", None)
     if cache is not None:
@@ -69,6 +74,38 @@ def poison_execution_cache(scheduler, mode: str) -> None:
     shadow = getattr(scheduler, "shadow_index", None)
     if shadow is not None:
         shadow().chaos_drop_memo()
+
+
+def inject_scheduler_faults(scheduler, plan, now: float):
+    """Run ``plan``'s scheduler-wide fault points; return the live scheduler.
+
+    The shared fault body of both drivers: :func:`drive` runs it before
+    every turn, the simulator before every event.  A ``cache_poison``
+    fault goes through :func:`poison_execution_cache`.  A ``crash``
+    fault kills the scheduler and reincarnates it from its decision
+    log, counted in ``plan.stats.recoveries``; a scheduler without
+    ``reincarnate`` cannot crash.  The returned scheduler replaces the
+    caller's — after a crash it is the recovered one.
+    """
+    tracer = scheduler.tracer
+    mode = plan.cache_poison()
+    if mode:
+        poison_execution_cache(scheduler, mode)
+        if tracer:
+            tracer.emit(
+                FaultInjected(time=now, kind="cache_poison", detail=mode)
+            )
+    if plan.crash() and hasattr(scheduler, "reincarnate"):
+        records = len(scheduler.log)
+        if tracer:
+            tracer.emit(FaultInjected(time=now, kind="crash"))
+            tracer.emit(CrashInduced(time=now, log_records=records))
+            tracer.emit(RecoveryStarted(time=now, log_records=records))
+        scheduler = scheduler.reincarnate()
+        if tracer:
+            tracer.emit(RecoveryCompleted(time=now, replayed=records))
+        plan.stats.recoveries += 1
+    return scheduler
 
 
 @dataclass(frozen=True)
@@ -180,30 +217,6 @@ def drive(
                 )
             )
 
-    def inject_turn_faults() -> None:
-        """Between-decision faults: cache poisoning and scheduler crashes."""
-        nonlocal scheduler
-        mode = fault_plan.cache_poison()
-        if mode:
-            poison_execution_cache(scheduler, mode)
-            emit_fault("cache_poison", detail=mode)
-        if fault_plan.crash() and hasattr(scheduler, "reincarnate"):
-            emit_fault("crash")
-            log_records = len(scheduler.log)
-            tracer = scheduler.tracer
-            if tracer:
-                tracer.emit(
-                    CrashInduced(time=scheduler.now, log_records=log_records)
-                )
-                tracer.emit(
-                    RecoveryStarted(time=scheduler.now, log_records=log_records)
-                )
-            scheduler = scheduler.reincarnate()
-            if scheduler.tracer:
-                scheduler.tracer.emit(
-                    RecoveryCompleted(time=scheduler.now, replayed=log_records)
-                )
-
     admit()
     turns = 0
     while live:
@@ -216,7 +229,9 @@ def drive(
                     f"harness exceeded {max_turns} turns; workload livelocked"
                 )
             if fault_plan:
-                inject_turn_faults()
+                scheduler = inject_scheduler_faults(
+                    scheduler, fault_plan, scheduler.now
+                )
             txn = runner.txn
             status = scheduler.transaction(txn).status
             if status is not TransactionStatus.ACTIVE:

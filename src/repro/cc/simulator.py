@@ -28,7 +28,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from repro.cc.harness import poison_execution_cache
+from repro.cc.harness import inject_scheduler_faults
 from repro.cc.metrics import RunMetrics
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.transaction import TxnId
@@ -36,10 +36,7 @@ from repro.cc.workload import TransactionProgram, Workload
 from repro.core.table import CompatibilityTable
 from repro.errors import SchedulerError
 from repro.obs.events import (
-    CrashInduced,
     FaultInjected,
-    RecoveryCompleted,
-    RecoveryStarted,
     RestartsExhausted,
     RunCompleted,
     RunStarted,
@@ -201,26 +198,6 @@ def simulate_with_scheduler(
             tracer.emit(
                 FaultInjected(time=now, kind=kind, txn=txn, detail=detail)
             )
-
-    def inject_event_faults(now: float) -> None:
-        """Between-event faults: cache poisoning and scheduler crashes."""
-        nonlocal scheduler
-        mode = plan.cache_poison()
-        if mode:
-            poison_execution_cache(scheduler, mode)
-            emit_fault(now, "cache_poison", detail=mode)
-        if plan.crash() and hasattr(scheduler, "reincarnate"):
-            emit_fault(now, "crash")
-            records = len(scheduler.log)
-            if tracer:
-                tracer.emit(CrashInduced(time=now, log_records=records))
-                tracer.emit(RecoveryStarted(time=now, log_records=records))
-            scheduler = scheduler.reincarnate()
-            if tracer:
-                tracer.emit(RecoveryCompleted(time=now, replayed=records))
-            stats = getattr(plan, "stats", None)
-            if stats is not None:
-                stats.recoveries += 1
 
     def wake_stalled(now: float) -> None:
         """Retry every stalled program after a resolution."""
@@ -392,7 +369,7 @@ def simulate_with_scheduler(
         if state.done or event.epoch != state.epoch:
             continue
         if plan:
-            inject_event_faults(event.time)
+            scheduler = inject_scheduler_faults(scheduler, plan, event.time)
         if event.kind == "arrive":
             scheduler.now = event.time
             state.txn = scheduler.begin()

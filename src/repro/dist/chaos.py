@@ -17,10 +17,8 @@ transcript repr, so even sub-field drift between two runs is loud.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-
 from repro.cc.workload import WorkloadConfig, generate
+from repro.robust.chaos import digest, spec_dict
 from repro.robust.faults import FaultPlan, FaultSpec, RobustStats
 
 from repro.dist.audit import audit_global
@@ -46,14 +44,6 @@ def DEFAULT_MIXES() -> dict[str, FaultSpec | None]:
         "messages": FaultSpec.message_storm(),
         "dist": FaultSpec.dist_storm(),
     }
-
-
-def _digest(transcript) -> str:
-    return hashlib.sha256(repr(transcript).encode("utf-8")).hexdigest()
-
-
-def _spec_dict(spec: FaultSpec | None) -> dict | None:
-    return None if spec is None else dataclasses.asdict(spec)
 
 
 def run_dist_chaos(
@@ -148,7 +138,7 @@ def run_dist_chaos(
                             "shards": shards,
                             "mix": mix_name,
                             "seed": seed,
-                            "digest": _digest(transcript),
+                            "digest": digest(transcript),
                             "committed": [
                                 gtxn
                                 for gtxn, status in transcript.statuses
@@ -173,7 +163,7 @@ def run_dist_chaos(
             "adts": sorted(adts),
             "shard_counts": list(shard_counts),
             "mixes": {
-                name: _spec_dict(mixes[name]) for name in sorted(mixes)
+                name: spec_dict(mixes[name]) for name in sorted(mixes)
             },
             "seeds": list(seeds),
             "policy": policy,
@@ -397,7 +387,7 @@ def run_replication_chaos(
                         "backups_caught_up": caught_up,
                     },
                 )
-                scenarios["nominal"]["digest"] = _digest(nominal)
+                scenarios["nominal"]["digest"] = digest(nominal)
 
                 # -- primary_kill: every primary dies mid-protocol -----
                 schedule = _KillPrimariesOnce(
@@ -484,7 +474,7 @@ def run_replication_chaos(
                         plan=FaultPlan(seed, spec)
                     )
                     storm = storm_cluster.run(workload, seed=seed)
-                    storm_digests.append(_digest(storm))
+                    storm_digests.append(digest(storm))
                     storm_reports.append(
                         _replication_cell_report(storm_cluster, {})
                     )

@@ -14,6 +14,8 @@ are diffable artifacts, not flaky dashboards.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 from repro.cc.harness import drive
@@ -25,7 +27,17 @@ from repro.robust.decision_log import DecisionLog
 from repro.robust.faults import FaultPlan, FaultSpec, RobustStats
 from repro.robust.monitor import MonitoredScheduler
 
-__all__ = ["run_chaos", "render_report"]
+__all__ = ["digest", "run_chaos", "render_report", "spec_dict"]
+
+
+def digest(payload) -> str:
+    """SHA-256 of ``repr(payload)``: a byte-stable fingerprint for reports."""
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
+def spec_dict(spec: FaultSpec | None) -> dict | None:
+    """A fault spec as a JSON-ready dict (``None`` when no plan runs)."""
+    return None if spec is None else dataclasses.asdict(spec)
 
 
 def _storm_cell(

@@ -10,7 +10,8 @@ the sharded cluster (PR 5):
   the cluster's 2PC front-end.
 * :mod:`repro.serve.loop` — the event-driven batched engine: many
   in-flight transactions per tick, ready-callback wakeups instead of
-  busy-retry, per-phase latency recording.
+  busy-retry, per-phase latency recording.  (Busy-retry round-robin is
+  :func:`repro.cc.harness.drive`, the reference driver.)
 * :mod:`repro.serve.adaptive` — per-object policy switching driven by
   PR 6 conflict telemetry, applied at safe epoch boundaries.
 * :mod:`repro.serve.deadline` — per-request deadline budgets and the
@@ -46,7 +47,6 @@ from repro.serve.workload import (
     Request,
     ServeConfig,
     ServeWorkload,
-    from_cc_workload,
     generate,
     zipf_weights,
 )
@@ -75,7 +75,6 @@ __all__ = [
     "Request",
     "ServeConfig",
     "ServeWorkload",
-    "from_cc_workload",
     "generate",
     "zipf_weights",
 ]

@@ -18,15 +18,11 @@ executors; see ``docs/PERFORMANCE.md``, "Compiled dispatch").
 
 from __future__ import annotations
 
-from repro.spec.adt import render_state
-
 __all__ = ["SchedulerBackend", "ClusterBackend"]
 
 
 class SchedulerBackend:
     """The serving protocol over one bare table-driven scheduler."""
-
-    kind = "scheduler"
 
     def __init__(self, scheduler) -> None:
         self.scheduler = scheduler
@@ -95,29 +91,6 @@ class SchedulerBackend:
     def add_resolution_listener(self, listener) -> None:
         self.scheduler.add_resolution_listener(listener)
 
-    # -- transcript support (poll-mode parity) ------------------------
-
-    def transcript_tail(self, admitted: int, object_name: str):
-        """``(edges, statuses, final_state, seed_stats)`` as ``drive`` records them."""
-        scheduler = self.scheduler
-        edges = tuple(
-            sorted(
-                (pair, dependency.name)
-                for pair, dependency in scheduler.dependency_graph()
-                .edges()
-                .items()
-            )
-        )
-        statuses = tuple(
-            (txn, scheduler.transaction(txn).status.name)
-            for txn in range(admitted)
-        )
-        final_state = render_state(scheduler.object(object_name).state())
-        seed_stats = tuple(
-            sorted(scheduler.stats.seed_counters().items())
-        )
-        return edges, statuses, final_state, seed_stats
-
 
 class ClusterBackend:
     """The serving protocol over a sharded cluster's 2PC front-end.
@@ -128,8 +101,6 @@ class ClusterBackend:
     per-shard without any cross-node coordination — the safe-boundary
     check is local to the owner.
     """
-
-    kind = "cluster"
 
     def __init__(self, frontend) -> None:
         self.frontend = frontend

@@ -41,11 +41,9 @@ sub-field drift between two runs is loud.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.serializability import is_serializable
+from repro.robust.chaos import digest, spec_dict
 from repro.robust.faults import FaultPlan, FaultSpec
 
 from repro.serve.backend import ClusterBackend, SchedulerBackend
@@ -95,14 +93,6 @@ def SERVING_MIXES(intensity: float = 0.05) -> dict[str, dict]:
             ),
         },
     }
-
-
-def _digest(payload) -> str:
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
-def _spec_dict(spec: FaultSpec | None) -> dict | None:
-    return None if spec is None else dataclasses.asdict(spec)
 
 
 def _fault_summary(plan: FaultPlan | None) -> dict | None:
@@ -176,7 +166,7 @@ def _result_cell(loop: ServingLoop, result) -> dict:
         "forced_wakes": result.forced_wakes,
         "breaker_transitions": len(result.breaker_transitions),
         "degradation_steps": len(result.degradation_steps),
-        "outcomes_digest": _digest(tuple(sorted(loop.outcomes.items()))),
+        "outcomes_digest": digest(tuple(sorted(loop.outcomes.items()))),
     }
 
 
@@ -327,8 +317,8 @@ def run_serving_chaos(
             "mixes": {
                 name: {
                     "load": mixes[name]["load"],
-                    "scheduler": _spec_dict(mixes[name]["scheduler"]),
-                    "cluster": _spec_dict(mixes[name]["cluster"]),
+                    "scheduler": spec_dict(mixes[name]["scheduler"]),
+                    "cluster": spec_dict(mixes[name]["cluster"]),
                 }
                 for name in sorted(mixes)
             },

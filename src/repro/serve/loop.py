@@ -1,24 +1,17 @@
 """The batched, event-driven serving engine.
 
-Two retry disciplines share one engine:
+An event-driven loop multiplexes up to ``max_inflight`` transactions,
+dispatching **one action per runnable transaction per tick** — so
+admitted concurrency is actually exercised — and parks blocked or
+commit-waiting transactions until a **ready callback** (the scheduler's
+resolution listener) wakes them.  No busy-retry: a blocked operation is
+re-issued exactly once, after every transaction it waited on has
+resolved.  (The busy-retry round-robin discipline, with its checkpoint
+and fault-plan hooks, is :func:`repro.cc.harness.drive`.)
 
-* ``retry="ready"`` (the default, the performance path): an event-driven
-  loop that multiplexes up to ``max_inflight`` transactions, dispatching
-  **one action per runnable transaction per tick** — so admitted
-  concurrency is actually exercised — and parking blocked or
-  commit-waiting transactions until a **ready callback** (the
-  scheduler's resolution listener) wakes them.  No busy-retry: a blocked
-  operation is re-issued exactly once, after every transaction it waited
-  on has resolved.
-* ``retry="poll"`` (the compatibility path): a call-for-call replica of
-  :func:`repro.cc.harness.drive` — snapshot round-robin, blocked
-  operations re-request every turn, admission in program order — so the
-  serving loop over one object produces a bit-identical
-  :class:`~repro.cc.harness.Transcript`, which the parity suite asserts.
-
-Either way the loop runs on its own deterministic sim clock (``tick``
-units per round), records per-request latency phases (end-to-end,
-queue-wait, service, commit-wait) into a PR 6
+The loop runs on its own deterministic sim clock (``tick`` units per
+round), records per-request latency phases (end-to-end, queue-wait,
+service, commit-wait) into a
 :class:`~repro.obs.latency.LatencyRecorder`, and emits
 :class:`~repro.obs.events.RequestArrived` /
 :class:`~repro.obs.events.RequestAdmitted` trace events the dashboard's
@@ -35,7 +28,7 @@ unit): deterministic, machine-independent, and exactly what batching
 improves — one tick serves up to ``max_inflight`` operations instead of
 one.
 
-Overload and fault hardening (all opt-in, ready mode only):
+Overload and fault hardening (all opt-in):
 
 * ``deadline`` (:class:`~repro.serve.deadline.DeadlinePolicy`) gives
   every request an absolute sim-time budget, enforced at admission, on
@@ -68,7 +61,6 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from repro.cc.harness import Transcript
 from repro.errors import SchedulerError
 from repro.obs.events import (
     BreakerStateChanged,
@@ -125,11 +117,8 @@ class ServeResult:
     breaker_transitions: tuple = ()
     #: Every degradation-ladder move, in occurrence order.
     degradation_steps: tuple = ()
-    #: ``(request_id, terminal outcome)`` sorted by request id (ready
-    #: mode; empty in poll mode).
+    #: ``(request_id, terminal outcome)`` sorted by request id.
     outcomes: tuple = ()
-    #: drive()-shaped transcript (poll mode over one object), else None.
-    transcript: Transcript | None = None
 
     def goodput_per_time(self) -> float:
         """Committed operations per sim-time unit."""
@@ -188,7 +177,6 @@ class ServingLoop:
         max_inflight: int = 32,
         batch_size: int | None = None,
         tick: float = 1.0,
-        retry: str = "ready",
         retry_aborts: bool = False,
         max_retries: int = 8,
         controller=None,
@@ -200,22 +188,6 @@ class ServingLoop:
         shedding: ShedConfig | None = None,
         fault_plan=None,
     ) -> None:
-        if retry not in ("ready", "poll"):
-            raise SchedulerError(f"unknown retry discipline {retry!r}")
-        if retry_aborts and retry == "poll":
-            raise SchedulerError("retry_aborts needs the ready loop")
-        if retry == "poll" and (
-            deadline is not None
-            or breakers is not None
-            or shedding is not None
-            or fault_plan is not None
-        ):
-            # The poll loop is the frozen drive() replica; hardening
-            # would perturb its bit-identical transcript.
-            raise SchedulerError(
-                "deadlines, breakers, shedding and fault plans need the "
-                "ready loop"
-            )
         if max_inflight < 1:
             raise SchedulerError("max_inflight must be at least 1")
         self.backend = backend
@@ -223,7 +195,6 @@ class ServingLoop:
         self.max_inflight = max_inflight
         self.batch_size = batch_size if batch_size is not None else max_inflight
         self.tick = tick
-        self.retry = retry
         #: At-least-once serving: a request aborted by the scheduler
         #: (certification, cascade, deadlock victim) re-enters the
         #: admission queue as a fresh transaction, staggered by the
@@ -257,11 +228,11 @@ class ServingLoop:
         self.fault_plan = fault_plan
         self.switches: list[PolicySwitch] = []
         self._pending_switch: dict[str, _PendingSwitch] = {}
-        #: request_id -> every transaction begun for it (ready mode);
+        #: request_id -> every transaction begun for it;
         #: the chaos campaign certifies shed/expired requests against
         #: committed history through this map.
         self.request_txns: dict[int, list[int]] = {}
-        #: request_id -> terminal outcome (ready mode).
+        #: request_id -> terminal outcome.
         self.outcomes: dict[int, str] = {}
 
     # ------------------------------------------------------------------
@@ -270,10 +241,7 @@ class ServingLoop:
 
     def run(self) -> ServeResult:
         started = time.perf_counter()
-        if self.retry == "poll":
-            result = self._run_poll()
-        else:
-            result = self._run_ready()
+        result = self._run_ready()
         wall = time.perf_counter() - started
         return ServeResult(
             requests=result["requests"],
@@ -284,21 +252,20 @@ class ServingLoop:
             sim_duration=result["sim_duration"],
             wall_seconds=wall,
             ticks=result["ticks"],
-            forced_wakes=result.get("forced_wakes", 0),
-            retries=result.get("retries", 0),
+            forced_wakes=result["forced_wakes"],
+            retries=result["retries"],
             policy_switches=tuple(self.switches),
             latency=self.recorder,
-            shed=result.get("shed", 0),
-            deadline_exceeded=result.get("deadline_exceeded", 0),
-            retries_exhausted=result.get("retries_exhausted", 0),
-            breaker_transitions=tuple(result.get("breaker_transitions", ())),
-            degradation_steps=tuple(result.get("degradation_steps", ())),
+            shed=result["shed"],
+            deadline_exceeded=result["deadline_exceeded"],
+            retries_exhausted=result["retries_exhausted"],
+            breaker_transitions=result["breaker_transitions"],
+            degradation_steps=result["degradation_steps"],
             outcomes=tuple(sorted(self.outcomes.items())),
-            transcript=result.get("transcript"),
         )
 
     # ------------------------------------------------------------------
-    # Shared bookkeeping
+    # Bookkeeping
     # ------------------------------------------------------------------
 
     def _note_arrival(self, request: Request, available: float) -> None:
@@ -328,131 +295,7 @@ class ServingLoop:
             )
 
     # ------------------------------------------------------------------
-    # Poll mode: the drive() replica
-    # ------------------------------------------------------------------
-
-    def _run_poll(self) -> dict:
-        """Snapshot round-robin with busy-retry, exactly like ``drive``.
-
-        Arrival times are ignored (admission in request order, as the
-        harness admits programs); with one registered object the
-        recorded transcript is bit-identical to the one
-        :func:`repro.cc.harness.drive` produces for the same workload,
-        scheduler and concurrency bound.
-        """
-        backend = self.backend
-        requests = self.workload.requests
-        ops: list = []
-        resolutions: list = []
-        live: list[_Runner] = []
-        admitted = 0
-        now = 0.0
-        ticks = 0
-        committed = aborted = goodput = issued = 0
-        last_finish = 0.0
-
-        def admit() -> None:
-            nonlocal admitted
-            while admitted < len(requests) and len(live) < self.max_inflight:
-                request = requests[admitted]
-                self._note_arrival(request, request.arrival)
-                txn = backend.begin()
-                self._note_admission(request, txn, now)
-                live.append(_Runner(request, txn, request.arrival, now))
-                admitted += 1
-
-        def finish(runner: _Runner, outcome: str) -> None:
-            nonlocal committed, aborted, goodput, last_finish
-            runner.done = True
-            live.remove(runner)
-            if outcome == "committed":
-                committed += 1
-                goodput += len(runner.request.steps)
-            else:
-                aborted += 1
-            last_finish = now
-            self._finish_latency(runner, outcome, now)
-
-        admit()
-        turns = 0
-        while live:
-            for runner in list(live):
-                turns += 1
-                if turns > self.max_ticks:
-                    raise SchedulerError(
-                        f"serving loop exceeded {self.max_ticks} turns; "
-                        f"workload livelocked"
-                    )
-                txn = runner.txn
-                if backend.status(txn) != "ACTIVE":
-                    resolutions.append((txn, "observed-abort", ()))
-                    finish(runner, "aborted")
-                    continue
-                if runner.step < len(runner.request.steps):
-                    step = runner.request.steps[runner.step]
-                    decision = backend.request(
-                        txn, step.object_name, step.invocation
-                    )
-                    issued += 1
-                    ops.append((txn, runner.step, decision))
-                    if decision.executed:
-                        runner.step += 1
-                    elif decision.aborted:
-                        finish(runner, "aborted")
-                    # else: blocked — retry on the next turn.
-                    continue
-                if runner.request.voluntary_abort:
-                    extra = backend.abort(txn, reason="voluntary")
-                    resolutions.append(
-                        (txn, "voluntary-abort", tuple(sorted(extra)))
-                    )
-                    finish(runner, "aborted")
-                    continue
-                decision = backend.try_commit(txn)
-                if decision.committed:
-                    resolutions.append((txn, "committed", ()))
-                    finish(runner, "committed")
-                elif decision.must_abort:
-                    resolutions.append((txn, "must-abort", ()))
-                    finish(runner, "aborted")
-                else:
-                    resolutions.append(
-                        (txn, "commit-waiting", tuple(sorted(decision.waiting_on)))
-                    )
-            admit()
-            now += self.tick
-            ticks += 1
-            backend.set_now(now)
-
-        transcript = None
-        if (
-            len(self.workload.object_names) == 1
-            and getattr(backend, "kind", "") == "scheduler"
-        ):
-            edges, statuses, final_state, seed_stats = backend.transcript_tail(
-                admitted, self.workload.object_names[0]
-            )
-            transcript = Transcript(
-                op_decisions=tuple(ops),
-                resolutions=tuple(resolutions),
-                edges=edges,
-                statuses=statuses,
-                final_state=final_state,
-                seed_stats=seed_stats,
-            )
-        return {
-            "requests": admitted,
-            "committed": committed,
-            "aborted": aborted,
-            "goodput_ops": goodput,
-            "ops_issued": issued,
-            "sim_duration": last_finish,
-            "ticks": ticks,
-            "transcript": transcript,
-        }
-
-    # ------------------------------------------------------------------
-    # Ready mode: event-driven with resolution callbacks
+    # The event loop: ready callbacks instead of busy-retry
     # ------------------------------------------------------------------
 
     def _run_ready(self) -> dict:

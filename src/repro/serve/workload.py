@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.cc.workload import Step, Workload
+from repro.cc.workload import Step
 from repro.errors import WorkloadError
 from repro.spec.adt import ADTSpec
 
@@ -41,7 +41,6 @@ __all__ = [
     "ServeConfig",
     "ServeWorkload",
     "generate",
-    "from_cc_workload",
     "zipf_weights",
 ]
 
@@ -265,39 +264,4 @@ def generate(
             f"requests ({config.mode} loop, zipf={config.zipf_s}, "
             f"seed {config.seed})"
         ),
-    )
-
-
-def from_cc_workload(
-    workload: Workload, object_name: str = "obj"
-) -> ServeWorkload:
-    """Lift a harness :class:`~repro.cc.workload.Workload` into requests.
-
-    Program ``i`` becomes request ``i`` of session ``i`` — the shape the
-    transcript-parity suite drives through the poll-mode serving loop to
-    match :func:`repro.cc.harness.drive` call for call.
-    """
-    requests = tuple(
-        Request(
-            request_id=index,
-            session=index,
-            arrival=program.arrival,
-            think_time=0.0,
-            steps=tuple(
-                Step(
-                    object_name=object_name,
-                    invocation=step.invocation,
-                    service_time=step.service_time,
-                )
-                for step in program.steps
-            ),
-            voluntary_abort=program.voluntary_abort,
-        )
-        for index, program in enumerate(workload.programs)
-    )
-    return ServeWorkload(
-        requests=requests,
-        mode="open",
-        object_names=(object_name,),
-        description=f"harness lift: {workload.description}",
     )

@@ -4,6 +4,8 @@ import pytest
 
 from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
+from repro.cc.harness import drive
+from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.simulator import SimulationConfig, simulate
 from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
@@ -135,6 +137,44 @@ class TestMonitoredSimulation:
         assert metrics.robust is stats
         assert stats.invariant_checks > 0
         assert metrics.committed + metrics.aborted == 10
+
+
+class TestCrashRecoveriesCounted:
+    """Both drivers count every crash recovery in the plan's stats."""
+
+    def crash_plan(self):
+        # A high rate so both drivers reach the spec's max_crashes cap.
+        return FaultPlan(3, FaultSpec(crash_rate=0.5))
+
+    def monitored(self, scheduler, plan):
+        return MonitoredScheduler(
+            scheduler, log=DecisionLog(), robust_stats=plan.stats
+        )
+
+    def test_drive_and_simulate_count_every_crash_recovery(self, adt, table):
+        driven = self.crash_plan()
+        drive(
+            self.monitored(TableDrivenScheduler(policy="optimistic"), driven),
+            adt,
+            table,
+            contended_workload(adt),
+            object_name="shared",
+            fault_plan=driven,
+        )
+        simulated = self.crash_plan()
+        simulate(
+            SimulationConfig(
+                adt=adt,
+                table=table,
+                workload=contended_workload(adt),
+                object_name="shared",
+                fault_plan=simulated,
+                scheduler_wrapper=lambda s: self.monitored(s, simulated),
+            )
+        )
+        for plan in (driven, simulated):
+            assert plan.stats.faults_by_kind["crash"] == FaultSpec().max_crashes
+            assert plan.stats.recoveries == plan.stats.faults_by_kind["crash"]
 
 
 class TestRestartPolicies:

@@ -139,17 +139,6 @@ class TestLoopDeadlines:
         ]
         assert len(expired) == result.deadline_exceeded
 
-    def test_deadline_requires_ready_mode(self, account):
-        adt, _ = account
-        workload = generate(adt, CONTENDED)
-        with pytest.raises(SchedulerError):
-            ServingLoop(
-                scheduler_backend(account, workload),
-                workload,
-                retry="poll",
-                deadline=DeadlinePolicy(budget=1.0),
-            )
-
 
 def echo_endpoint(bus, name="server"):
     served = []

@@ -14,7 +14,6 @@ from repro.adts.registry import make_adt
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.core.methodology import derive
 from repro.dist.cluster import Cluster, ClusterFrontend
-from repro.errors import SchedulerError
 from repro.obs.analysis import render_dashboard
 from repro.obs.tracers import RecordingTracer
 from repro.serve import (
@@ -154,17 +153,6 @@ class TestRetryAborts:
         assert result.committed == 0
         assert result.aborted == result.requests
         assert result.retries == 0
-
-    def test_retry_requires_ready_mode(self, account):
-        adt, _ = account
-        workload = generate(adt, CONTENDED)
-        with pytest.raises(SchedulerError):
-            ServingLoop(
-                scheduler_backend(account, workload),
-                workload,
-                retry="poll",
-                retry_aborts=True,
-            )
 
 
 class TestDashboardSection:

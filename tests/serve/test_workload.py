@@ -11,12 +11,9 @@ a seed sweep.
 import pytest
 
 from repro.adts.registry import make_adt
-from repro.cc.workload import WorkloadConfig
-from repro.cc.workload import generate as cc_generate
 from repro.serve import (
     BurstEnvelope,
     ServeConfig,
-    from_cc_workload,
     generate,
     zipf_weights,
 )
@@ -129,20 +126,3 @@ class TestZipfWeights:
 
     def test_s_zero_is_uniform(self):
         assert zipf_weights(5, 0.0) == [1.0] * 5
-
-
-class TestFromCCWorkload:
-    def test_preserves_steps_and_aborts(self, qstack):
-        cc_workload = cc_generate(
-            qstack,
-            "obj",
-            WorkloadConfig(
-                transactions=8, operations_per_transaction=3,
-                abort_probability=0.3, seed=42,
-            ),
-        )
-        served = from_cc_workload(cc_workload)
-        assert len(served.requests) == len(cc_workload.programs)
-        assert served.object_names == ("obj",)
-        assert any(request.voluntary_abort for request in served.requests)
-        assert served.total_operations() == cc_workload.total_operations()
