@@ -1,9 +1,11 @@
 """Shared objects: live state, operation execution, replay recovery.
 
 A :class:`SharedObject` wraps one ADT instance.  Its live state is an
-object graph mutated in place by executed operations; in parallel it keeps
-an *operation log* — the global execution order of (transaction,
-invocation) pairs — which is the basis of recovery:
+object graph advanced by executed operations: an operation whose
+admission preview ran on the current graph adopts the graph that preview
+produced, any other runs in place.  In parallel it keeps an *operation
+log* — the global execution order of (transaction, invocation) pairs —
+which is the basis of recovery:
 
 When a transaction aborts, its operations are removed from the log and the
 remaining operations are **replayed from the recovery baseline** (footnote
@@ -12,7 +14,9 @@ changes of q must be reapplied").  The baseline starts as the
 registration state; :meth:`SharedObject.forget` folds the longest log
 prefix of resolved transactions into it, so a scheduler that forgets
 after every resolution replays only the active window, never the whole
-history.  The registration state itself is kept apart
+history.  A fold of the whole log keeps the live graph as a pending
+baseline and reads its abstract state only when something asks.  The
+registration state itself is kept apart
 (:attr:`SharedObject.initial_state`): serial-replay checks start there.
 
 Replay also *re-verifies* the return values of the surviving active
@@ -76,8 +80,15 @@ class SharedObject:
             adt.initial_state() if initial_state is None else initial_state
         )
         self._baseline = self._initial_state
+        #: A graph whose abstract state is the baseline, left by a
+        #: whole-log :meth:`forget` and read on first use; it is never
+        #: mutated while pending.
+        self._pending_baseline: ObjectGraph | None = None
         self._graph: ObjectGraph = adt.build_graph(self._initial_state)
         self._log: list[AppliedOperation] = []
+        #: The last preview, ``(invocation, source graph, produced graph,
+        #: returned, trace)``, for :meth:`execute` to adopt.
+        self._preview: tuple | None = None
 
     # ------------------------------------------------------------------
     # State access
@@ -103,8 +114,10 @@ class SharedObject:
         """The recovery baseline: the state the operation log replays from.
 
         Equal to :attr:`initial_state` until :meth:`forget` folds a
-        resolved log prefix into it.
+        resolved log prefix into it.  Read straight from the graph a
+        whole-log fold left pending, never through an execution memo.
         """
+        self._settle_baseline()
         return self._baseline
 
     def state(self) -> AbstractState:
@@ -128,8 +141,27 @@ class SharedObject:
     # ------------------------------------------------------------------
 
     def execute(self, txn: TxnId, invocation: Invocation) -> AppliedOperation:
-        """Execute an invocation on the live state and log it."""
-        returned, trace = self._run(self._graph, invocation)
+        """Execute an invocation on the live state and log it.
+
+        When ``invocation`` is the very object last previewed and the
+        live graph is still the preview's source, the preview's graph
+        becomes the live graph and its return value and trace are logged:
+        the clone is id-preserving, so they are exactly what a second run
+        would produce.  The replaced graph is never mutated again.
+        Otherwise the invocation runs in place, after reading a pending
+        baseline off the graph it is about to change.
+        """
+        preview, self._preview = self._preview, None
+        if (
+            preview is not None
+            and preview[0] is invocation
+            and preview[1] is self._graph
+        ):
+            _, _, self._graph, returned, trace = preview
+        else:
+            if self._pending_baseline is self._graph:
+                self._settle_baseline()
+            returned, trace = self._run(self._graph, invocation)
         applied = AppliedOperation(
             txn=txn, invocation=invocation, returned=returned, trace=trace
         )
@@ -137,10 +169,10 @@ class SharedObject:
         return applied
 
     def preview(self, invocation: Invocation) -> ReturnValue:
-        """Execute an invocation against a throwaway copy of the state.
+        """Execute an invocation against a copy of the state.
 
-        Used by the blocking scheduler to evaluate outcome-conditional
-        entries without committing to the execution.
+        The live state is left as it is; see :meth:`preview_with_trace`,
+        whose clone a following :meth:`execute` may adopt.
         """
         returned, _ = self.preview_with_trace(invocation)
         return returned
@@ -154,8 +186,17 @@ class SharedObject:
         (the clone shares them and would allocate the same fresh ids), so
         it can be intersected with traces already recorded on the object —
         the basis of the scheduler's runtime conflict certification.
+
+        The clone and the live graph it was taken from are kept in one
+        slot: if the same invocation object is executed next,
+        :meth:`execute` adopts the clone instead of running the operation again.  Every
+        :meth:`execute` and :meth:`remove_transactions` clears the slot.
         """
-        return self._run(self._graph.clone(), invocation)
+        source = self._graph
+        graph = source.clone()
+        returned, trace = self._run(graph, invocation)
+        self._preview = (invocation, source, graph, returned, trace)
+        return returned, trace
 
     # ------------------------------------------------------------------
     # Recovery
@@ -171,8 +212,9 @@ class SharedObject:
         cascaded every AD-dependent); it is surfaced rather than assumed so
         the soundness experiments can detect violations.
         """
+        self._preview = None
         survivors = [entry for entry in self._log if entry.txn not in txns]
-        self._graph = self.adt.build_graph(self._baseline)
+        self._graph = self.adt.build_graph(self.baseline)
         invalidated: set[TxnId] = set()
         replayed: list[AppliedOperation] = []
         for entry in survivors:
@@ -198,9 +240,10 @@ class SharedObject:
         committed.  Folding stops at the first entry of a live transaction:
         a resolved entry logged after it stays, because undoing the live
         transaction must replay it.  A fully resolved log folds to the
-        live state, which is its replay; a shorter prefix is replayed from
-        the old baseline on a scratch graph.  Returns the number of entries
-        folded.
+        live state, which is its replay: the live graph becomes the
+        pending baseline, read by :attr:`baseline` on first use.  A
+        shorter prefix is replayed from the old baseline on a scratch
+        graph.  Returns the number of entries folded.
 
         Executions are pure functions of the abstract state, so replays
         from the folded baseline reproduce every return value and state a
@@ -216,14 +259,20 @@ class SharedObject:
         if not folded:
             return 0
         if folded == len(log):
-            self._baseline = self.state()
+            self._pending_baseline = self._graph
         else:
-            graph = self.adt.build_graph(self._baseline)
+            graph = self.adt.build_graph(self.baseline)
             for entry in log[:folded]:
                 self._run(graph, entry.invocation)
             self._baseline = self.adt.abstract_state(graph)
         del log[:folded]
         return folded
+
+    def _settle_baseline(self) -> None:
+        """Read a pending baseline off the graph a whole-log fold left."""
+        if self._pending_baseline is not None:
+            self._baseline = self.adt.abstract_state(self._pending_baseline)
+            self._pending_baseline = None
 
     def _run(
         self, graph: ObjectGraph, invocation: Invocation

@@ -48,11 +48,18 @@ O(active × log × replay) as in the seed (kept verbatim in
   epoch-invalidated on abort rollback — instead of replaying the log per
   pair check;
 * the pre-state object graph backing condition contexts is built at most
-  once per request and shared across every pair iteration;
-* under the blocking policy, the admission preview's pair verdicts are
-  memoized and reused when the operation executes immediately afterwards
-  (nothing can run in between — both happen in one synchronous call), so
-  each pair is decided once rather than twice;
+  once per request, by the first condition context that needs it, and
+  shared across every pair iteration;
+* under the blocking policy, the granted operation executes once: the
+  object adopts the graph its admission preview produced
+  (:meth:`~repro.cc.objects.SharedObject.execute`), and the preview's
+  pair verdicts are memoized and reused (nothing can run in between —
+  admission and grant happen in one synchronous call), so each pair is
+  decided once rather than twice;
+* the active transactions are kept as a set, updated where a
+  transaction begins, commits or aborts, so
+  :meth:`~TableDrivenScheduler.active_transactions` costs O(active), not
+  O(every transaction begun);
 * each table is compiled once, at registration, to a
   :class:`~repro.perf.codegen.ConflictMatrix` (:mod:`repro.perf.codegen`)
   — flat integer arrays over dense operation ids, so pair verdicts index
@@ -101,6 +108,7 @@ from repro.core.dependency import Dependency
 from repro.core.table import CompatibilityTable
 from repro.errors import DependencyCycleError, SchedulerError
 from repro.graph.instrument import LocalityTrace
+from repro.graph.object_graph import ObjectGraph
 from repro.obs.events import (
     CascadeAborted,
     CommitWaited,
@@ -258,18 +266,33 @@ class _PreGraph:
     Every pair iteration of a request evaluates its conditions against
     the same pre-state; the seed rebuilt the graph per pair.  The holder
     materialises it on first use and counts each subsequent reuse.
+
+    A blocking grant hands over the pre-grant live graph itself: the
+    grant adopts its admission preview's graph, so the pre-grant graph is
+    never mutated again, and its abstract state is read only when a
+    condition context first asks.  Optimistic and queued grants execute
+    in place, so they hand over the pre-state, read before the grant.
     """
 
-    __slots__ = ("adt", "pre_state", "stats", "graph")
+    __slots__ = ("adt", "source", "pre_state", "stats", "graph")
 
-    def __init__(self, adt: ADTSpec, pre_state: AbstractState, stats) -> None:
+    def __init__(
+        self,
+        adt: ADTSpec,
+        stats,
+        source: ObjectGraph | None = None,
+        pre_state: AbstractState | None = None,
+    ) -> None:
         self.adt = adt
+        self.source = source
         self.pre_state = pre_state
         self.stats = stats
         self.graph = None
 
     def get(self):
         if self.graph is None:
+            if self.source is not None:
+                self.pre_state = self.adt.abstract_state(self.source)
             self.graph = self.adt.build_graph(self.pre_state)
         else:
             self.stats.context_reuses += 1
@@ -391,6 +414,9 @@ class TableDrivenScheduler:
         #: Per-object incremental peer index.
         self._peers: dict[str, _PeerIndex] = {}
         self._txns: dict[TxnId, Transaction] = {}
+        #: Ids of the active transactions: added by :meth:`begin`,
+        #: removed where a commit or an abort sets the status.
+        self._active: set[TxnId] = set()
         self._deps = DependencyGraph()
         self._wait_for: dict[TxnId, set[TxnId]] = {}
         self._shadow = ShadowStateIndex(
@@ -463,6 +489,7 @@ class TableDrivenScheduler:
         txn_id = self._next_txn
         self._next_txn += 1
         self._txns[txn_id] = Transaction(txn_id=txn_id)
+        self._active.add(txn_id)
         if self.tracer:
             self.tracer.emit(TxnBegun(time=self.now, txn=txn_id))
         return txn_id
@@ -475,8 +502,13 @@ class TableDrivenScheduler:
             raise SchedulerError(f"unknown transaction {txn}") from None
 
     def active_transactions(self) -> set[TxnId]:
-        """Ids of all currently active transactions."""
-        return {tid for tid, txn in self._txns.items() if txn.is_active}
+        """Ids of all currently active transactions.
+
+        A copy of the maintained active set, so O(active) rather than
+        O(every transaction begun); callers sort it or take set
+        differences, so its iteration order never reaches an output.
+        """
+        return set(self._active)
 
     def shadow_index(self) -> ShadowStateIndex:
         """The live shadow-state index (introspection for tests/tools)."""
@@ -560,10 +592,18 @@ class TableDrivenScheduler:
                 self._wait_for.pop(txn, None)
             break
 
-        pre_state = shared.state()
+        # A blocking grant adopts its admission preview (nothing has
+        # touched the object since), so the pre-grant graph the preview
+        # holds is never mutated; every other grant runs in place and
+        # reads its pre-state first.
+        pre_graph = (
+            preview.pre_graph
+            if preview is not None
+            else _PreGraph(shared.adt, self.stats, pre_state=shared.state())
+        )
         applied = shared.execute(txn, invocation)
         recorded = self._record_dependencies(
-            txn, registered, applied, pre_state, preview
+            txn, registered, applied, pre_graph, preview
         )
         if recorded is None:
             # A cycle: the requester becomes the victim.  Its executed
@@ -656,6 +696,7 @@ class TableDrivenScheduler:
                     committed=False, waiting_on=frozenset(waiting)
                 )
             transaction.status = TransactionStatus.COMMITTED
+            self._active.discard(txn)
             self._commit_counter += 1
             transaction.commit_sequence = self._commit_counter
             self._wait_for.pop(txn, None)
@@ -727,6 +768,7 @@ class TableDrivenScheduler:
         all_aborting = {txn} | cascade
         for t in all_aborting:
             self._txns[t].status = TransactionStatus.ABORTED
+            self._active.discard(t)
             self._wait_for.pop(t, None)
             # Conflict telemetry: attribute the abort to the last object
             # the transaction touched (the same heuristic the offline
@@ -1084,7 +1126,7 @@ class TableDrivenScheduler:
         txn: TxnId,
         registered: _RegisteredObject,
         applied: AppliedOperation,
-        pre_state: AbstractState,
+        pre_graph: _PreGraph,
         preview: _PreviewVerdicts | None,
     ) -> list[tuple[TxnId, Dependency]] | None:
         """Resolve and record dependencies against earlier active transactions.
@@ -1104,11 +1146,6 @@ class TableDrivenScheduler:
         by_txn = self._active_peers(registered, skip=applied)
         inv_id = matrix.op_id[applied.invocation.operation]
         others = sorted(t for t in by_txn if t != txn)
-        pre_graph = (
-            preview.pre_graph
-            if preview is not None
-            else _PreGraph(shared.adt, pre_state, self.stats)
-        )
         recorded: list[tuple[TxnId, Dependency]] = []
         for other_txn in others:
             reused = preview.verdicts.get(other_txn) if preview else None
@@ -1176,12 +1213,11 @@ class TableDrivenScheduler:
         """
         shared, matrix = registered.shared, registered.matrix
         nd_fast_before = self.stats.nd_fast_path_hits
+        pre_graph = _PreGraph(shared.adt, self.stats, source=shared.graph)
         preview_returned, preview_trace = shared.preview_with_trace(invocation)
-        pre_state = shared.state()
         by_txn = self._active_peers(registered, skip=None)
         inv_id = matrix.op_id[invocation.operation]
         others = sorted(t for t in by_txn if t != txn)
-        pre_graph = _PreGraph(shared.adt, pre_state, self.stats)
         blockers: set[TxnId] = set()
         verdicts: dict[TxnId, tuple[Dependency, _DepEvidence, int]] = {}
         for other_txn in others:

@@ -1,0 +1,206 @@
+"""Grant once: a blocking grant adopts its admission preview.
+
+A blocking grant runs the requested operation once, on the preview clone
+the admission check certified, and the object adopts that clone as its
+live graph.  The pre-grant graph is never mutated again, so the pre-state
+a condition context needs is read off it only when one asks.  A
+whole-log ``forget`` keeps the live graph as a pending baseline and reads
+it on first use.
+
+These tests count the operation runs on the object (``SharedObject._run``)
+and the ``adt.abstract_state`` reads, and check that adoption and the
+pending baseline never hand out a stale state.
+"""
+
+import pytest
+
+from repro.adts.account import AccountSpec
+from repro.adts.qstack import QStackSpec
+from repro.cc.objects import SharedObject
+from repro.cc.scheduler import TableDrivenScheduler
+from repro.core.methodology import derive
+from repro.spec.operation import Invocation
+
+
+def count_runs(monkeypatch, shared) -> list:
+    """Record every graph ``shared`` runs an operation on."""
+    graphs = []
+    run = shared._run
+
+    def counting(graph, invocation):
+        graphs.append(graph)
+        return run(graph, invocation)
+
+    monkeypatch.setattr(shared, "_run", counting)
+    return graphs
+
+
+def count_state_reads(monkeypatch, adt) -> list:
+    """Record every graph ``adt.abstract_state`` is read from."""
+    graphs = []
+    read = adt.abstract_state
+
+    def counting(graph):
+        graphs.append(graph)
+        return read(graph)
+
+    monkeypatch.setattr(adt, "abstract_state", counting)
+    return graphs
+
+
+@pytest.fixture
+def account():
+    """A blocking scheduler over one Account holding 10."""
+    adt = AccountSpec(max_balance=100)
+    scheduler = TableDrivenScheduler(policy="blocking")
+    scheduler.register_object("acct", adt, derive(adt).final_table, 10)
+    return scheduler, adt, scheduler.object("acct")
+
+
+class TestBlockingGrantExecutesOnce:
+    def test_one_run_and_no_state_read_without_a_condition(
+        self, monkeypatch, account
+    ):
+        scheduler, adt, shared = account
+        peer, txn = scheduler.begin(), scheduler.begin()
+        assert scheduler.request(peer, "acct", Invocation("Deposit", (5,))).executed
+        pre_grant = shared.graph
+        evaluations = scheduler.stats.condition_evaluations
+        runs = count_runs(monkeypatch, shared)
+        reads = count_state_reads(monkeypatch, adt)
+
+        # Deposit after Deposit is an unconditional ND cell, so no
+        # condition context is built.
+        decision = scheduler.request(txn, "acct", Invocation("Deposit", (3,)))
+
+        assert decision.executed and decision.dependencies == ()
+        assert scheduler.stats.condition_evaluations == evaluations
+        assert len(runs) == 1
+        assert [g for g in reads if g is pre_grant] == []
+        assert shared.graph is runs[0]
+        assert shared.state() == 18
+
+    def test_a_condition_reads_the_pre_state_once(self, monkeypatch):
+        adt = QStackSpec()
+        scheduler = TableDrivenScheduler(policy="blocking")
+        scheduler.register_object("qs", adt, derive(adt).final_table, ("a", "b"))
+        shared = scheduler.object("qs")
+        peer, txn = scheduler.begin(), scheduler.begin()
+        assert scheduler.request(peer, "qs", Invocation("Push", ("c",))).executed
+        pre_grant = shared.graph
+        evaluations = scheduler.stats.condition_evaluations
+        runs = count_runs(monkeypatch, shared)
+        reads = count_state_reads(monkeypatch, adt)
+
+        # Deq after Push is conditional on f = b: the condition context
+        # needs the pre-state graph.
+        decision = scheduler.request(txn, "qs", Invocation("Deq"))
+
+        assert decision.executed and decision.returned.result == "a"
+        assert scheduler.stats.condition_evaluations > evaluations
+        assert len(runs) == 1
+        assert len([g for g in reads if g is pre_grant]) == 1
+        assert shared.state() == ("b", "c")
+
+    def test_a_retried_request_previews_afresh(self, monkeypatch, account):
+        scheduler, _adt, shared = account
+        peer, txn = scheduler.begin(), scheduler.begin()
+        assert scheduler.request(peer, "acct", Invocation("Deposit", (5,))).executed
+        # Balance after an active Deposit is an AD: the request blocks.
+        balance = Invocation("Balance")
+        assert not scheduler.request(txn, "acct", balance).executed
+        live = shared.graph
+        assert scheduler.try_commit(peer).committed
+        runs = count_runs(monkeypatch, shared)
+
+        decision = scheduler.request(txn, "acct", balance)
+
+        assert decision.executed and decision.returned.result == 15
+        # The retry previews afresh and adopts that preview.
+        assert len(runs) == 1 and shared.graph is runs[0]
+        assert shared.graph is not live
+
+
+class TestLazyBaseline:
+    def test_whole_log_forget_reads_no_state_until_asked(self, monkeypatch):
+        adt = QStackSpec()
+        shared = SharedObject("qs", adt, initial_state=("a",))
+        shared.execute(0, Invocation("Push", ("b",)))
+        reads = count_state_reads(monkeypatch, adt)
+
+        assert shared.forget(lambda txn: txn == 0) == 1
+        assert reads == []
+        assert shared.baseline == ("a", "b")
+        assert len(reads) == 1
+        assert shared.baseline == ("a", "b")
+        assert len(reads) == 1
+
+
+class TestAdoptionSafety:
+    @pytest.fixture
+    def shared(self) -> SharedObject:
+        return SharedObject("qs", QStackSpec(), initial_state=("a",))
+
+    def test_previewing_one_invocation_and_executing_another_runs_in_place(
+        self, monkeypatch, shared
+    ):
+        runs = count_runs(monkeypatch, shared)
+        live = shared.graph
+        shared.preview_with_trace(Invocation("Push", ("b",)))
+        applied = shared.execute(0, Invocation("Push", ("c",)))
+        assert runs == [runs[0], live]
+        assert shared.graph is live
+        assert applied.returned.outcome == "ok"
+        assert shared.state() == ("a", "c")
+
+    def test_a_rollback_between_preview_and_execute_adopts_nothing(
+        self, shared
+    ):
+        shared.execute(0, Invocation("Push", ("b",)))
+        pop = Invocation("Pop")
+        assert shared.preview(pop).result == "b"
+        assert shared.remove_transactions({0}) == set()
+        # Adopting the stale preview would hand out txn 0's 'b'.
+        assert shared.execute(1, pop).returned.result == "a"
+        assert shared.state() == ()
+
+    def test_a_second_execute_never_adopts_the_same_preview(self, shared):
+        push = Invocation("Push", ("b",))
+        shared.preview(push)
+        shared.execute(0, push)
+        shared.execute(1, push)
+        assert shared.state() == ("a", "b", "b")
+
+    def test_a_fold_then_an_in_place_execute_keeps_the_fold_time_state(
+        self, shared
+    ):
+        shared.execute(0, Invocation("Push", ("b",)))
+        assert shared.forget(lambda txn: txn == 0) == 1
+        # No preview: runs in place, on the graph the fold left pending.
+        shared.execute(1, Invocation("Push", ("c",)))
+        assert shared.remove_transactions({1}) == set()
+        assert shared.baseline == ("a", "b")
+        assert shared.state() == ("a", "b")
+
+    def test_a_fold_then_an_adopted_execute_keeps_the_fold_time_state(
+        self, shared
+    ):
+        shared.execute(0, Invocation("Push", ("b",)))
+        assert shared.forget(lambda txn: txn == 0) == 1
+        push = Invocation("Push", ("c",))
+        shared.preview(push)
+        shared.execute(1, push)
+        assert shared.state() == ("a", "b", "c")
+        assert shared.remove_transactions({1}) == set()
+        assert shared.baseline == ("a", "b")
+        assert shared.state() == ("a", "b")
+
+    def test_a_partial_fold_after_a_whole_log_fold(self, shared):
+        shared.execute(0, Invocation("Push", ("b",)))
+        shared.forget(lambda txn: txn == 0)
+        shared.execute(1, Invocation("Push", ("c",)))
+        shared.execute(2, Invocation("Push", ("d",)))
+        assert shared.forget(lambda txn: txn == 1) == 1
+        assert shared.baseline == ("a", "b", "c")
+        shared.remove_transactions({2})
+        assert shared.state() == ("a", "b", "c")
