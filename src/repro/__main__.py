@@ -65,7 +65,6 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     options = MethodologyOptions(
         validate_conditions=not args.paper,
         use_cache=not args.no_cache,
-        jobs=args.jobs,
     )
     result = derive(adt, options=options)
     stage_tables = dict(result.stage_tables())
@@ -521,11 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     derive_cmd.add_argument(
         "--paper", action="store_true",
         help="paper-fidelity mode (disable condition validation)",
-    )
-    derive_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the Stage-4/5 pair fan-out "
-             "(1 = sequential, 0 = one per CPU; results are identical)",
     )
     derive_cmd.add_argument(
         "--no-cache", action="store_true",

@@ -35,8 +35,6 @@ from repro.core.conditions import ConditionContext
 from repro.core.dependency import Dependency
 from repro.core.table import CompatibilityTable
 from repro.errors import SchedulerError, TransactionStateError
-from repro.graph.instrument import EdgeAttribution
-from repro.perf.cache import ExecutionCache
 from repro.spec.adt import ADTSpec, AbstractState, execute_invocation
 from repro.spec.operation import Invocation
 from repro.spec.returnvalue import ReturnValue
@@ -81,17 +79,13 @@ class _ValidationObject:
 class ValidationScheduler:
     """Intentions-list scheduler with table-filtered backward validation.
 
-    ``execution_cache`` memoizes the shadow executions of :meth:`request`
-    and :meth:`_validate` — a transaction replaying a long intentions list
-    re-executes the same ``(state, invocation)`` prefix on every request,
-    and validation re-executes exactly what :meth:`request` predicted, so
-    the deferred discipline is where memoization pays most.  Pass ``None``
-    to disable, or share one cache across schedulers.
+    The shadow executions of :meth:`request` and :meth:`_validate` go
+    through :func:`~repro.spec.adt.execute_invocation`, so they are
+    memoized whenever an execution cache is installed.
     """
 
-    def __init__(self, execution_cache: ExecutionCache | None = None) -> None:
+    def __init__(self) -> None:
         self.stats = ValidationStats()
-        self._cache = execution_cache
         self._objects: dict[str, _ValidationObject] = {}
         self._txns: dict[TxnId, _ValidationTxn] = {}
         self._next_txn: TxnId = 0
@@ -145,10 +139,10 @@ class ValidationScheduler:
         for intention in record.intentions:
             if intention.object_name != object_name:
                 continue
-            state = self._execute(
+            state = execute_invocation(
                 registered.shared.adt, state, intention.invocation
             ).post_state
-        execution = self._execute(registered.shared.adt, state, invocation)
+        execution = execute_invocation(registered.shared.adt, state, invocation)
         record.intentions.append(
             _Intention(
                 object_name=object_name,
@@ -234,7 +228,7 @@ class ValidationScheduler:
         for intention in record.intentions:
             shared = self._required(intention.object_name).shared
             state = states.get(intention.object_name, shared.state())
-            execution = self._execute(shared.adt, state, intention.invocation)
+            execution = execute_invocation(shared.adt, state, intention.invocation)
             if execution.returned != intention.predicted:
                 return False
             states[intention.object_name] = execution.post_state
@@ -248,14 +242,6 @@ class ValidationScheduler:
             self._committed_ops.append(
                 (self._version, intention.object_name, intention.invocation)
             )
-
-    def _execute(self, adt, state, invocation):
-        """One shadow execution, memoized when a cache is attached."""
-        if self._cache is not None:
-            return self._cache.get_or_execute(
-                adt, state, invocation, EdgeAttribution.BOTH
-            )
-        return execute_invocation(adt, state, invocation)
 
     def _required(self, name: str) -> _ValidationObject:
         try:

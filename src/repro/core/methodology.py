@@ -27,9 +27,8 @@ unguarded (see EXPERIMENTS.md for the two affected cells).
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.core.classification import OpClass, outcome_label
 from repro.core.conditions import (
@@ -52,13 +51,8 @@ from repro.graph.instrument import EdgeAttribution
 from repro.graph.object_graph import ObjectGraph
 from repro.obs.profiling import DerivationProfile, StageProfiler
 from repro.obs.tracers import Tracer
-from repro.perf.cache import (
-    DEFAULT_CACHE_MAXSIZE,
-    ExecutionCache,
-    install_execution_cache,
-)
+from repro.perf.cache import ExecutionCache, install_execution_cache
 from repro.perf.evidence import EvidenceBase
-from repro.perf.parallel import resolve_jobs, worker_pool
 from repro.spec.adt import ADTSpec, EnumerationBounds
 from repro.spec.operation import Invocation
 
@@ -68,6 +62,11 @@ __all__ = [
     "derive",
     "stage3_dependency",
 ]
+
+
+#: The accepted values of the two string-valued options.
+_OUTCOME_PARTITIONS = ("auto", "first", "second", "joint", "none")
+_OUTCOME_FEASIBILITIES = ("serial", "any")
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,6 @@ class MethodologyOptions:
         use_cache: Install a shared execution cache for the derivation
             (see ``docs/PERFORMANCE.md``); results are bit-identical
             either way.
-        cache_maxsize: Entry bound of that cache.
-        jobs: Worker processes for the Stage-4/5 pair fan-out
-            (``1`` = sequential, ``0`` = one per CPU).
     """
 
     bounds: EnumerationBounds | None = None
@@ -116,11 +112,18 @@ class MethodologyOptions:
     #: derivation.  Deterministic specs make the cached and uncached
     #: paths bit-identical; disabling exists for benchmarking and audit.
     use_cache: bool = True
-    #: Entry bound of the per-derivation execution cache.
-    cache_maxsize: int = DEFAULT_CACHE_MAXSIZE
-    #: Worker processes for the pair-level Stage-4/5 fan-out.  ``1`` is
-    #: fully sequential (no pool); ``0`` means one worker per CPU.
-    jobs: int = 1
+
+    def __post_init__(self) -> None:
+        for name, allowed in (
+            ("outcome_partition", _OUTCOME_PARTITIONS),
+            ("outcome_feasibility", _OUTCOME_FEASIBILITIES),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {', '.join(map(repr, allowed))}, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass
@@ -457,11 +460,7 @@ def _stage4_pair_entry(
     entry: Entry,
     options: MethodologyOptions,
 ) -> tuple[Entry, list[str]]:
-    """The Stage-4 entry for one operation pair (plus its derivation notes).
-
-    A pure function of the evidence base — the unit of the pair-level
-    parallel fan-out.
-    """
+    """The Stage-4 entry for one operation pair (plus its derivation notes)."""
     notes: list[str] = []
     current = entry.strongest()
     pairs: list[ConditionalDependency] = []
@@ -487,27 +486,22 @@ def _stage4_pair_entry(
     return Entry(pairs), notes
 
 
-def _stage4_table(
+def _refined_table(
     evidence: EvidenceBase,
     profiles: Mapping[str, OperationProfile],
-    stage3: CompatibilityTable,
+    previous: CompatibilityTable,
     options: MethodologyOptions,
     notes: list[str],
-    pair_map=None,
+    pair_entry: Callable[..., tuple[Entry, list[str]]],
+    name: str,
 ) -> CompatibilityTable:
-    table = CompatibilityTable(stage3.operations, name="stage4")
-    cells = list(stage3.cells())
-    if pair_map is not None:
-        results = pair_map(
-            _pair_task,
-            [("stage4", invoked, executing, entry) for invoked, executing, entry in cells],
+    """Refine every cell of ``previous`` with ``pair_entry`` (Stage 4 or
+    5), collecting the per-pair notes in cell order."""
+    table = CompatibilityTable(previous.operations, name=name)
+    for invoked, executing, entry in previous.cells():
+        new_entry, pair_notes = pair_entry(
+            evidence, profiles, invoked, executing, entry, options
         )
-    else:
-        results = [
-            _stage4_pair_entry(evidence, profiles, invoked, executing, entry, options)
-            for invoked, executing, entry in cells
-        ]
-    for (invoked, executing, _entry), (new_entry, pair_notes) in zip(cells, results):
         table.set_entry(invoked, executing, new_entry)
         notes.extend(pair_notes)
     return table
@@ -688,11 +682,7 @@ def _stage5_pair_entry(
     entry: Entry,
     options: MethodologyOptions,
 ) -> tuple[Entry, list[str]]:
-    """The Stage-5 entry for one operation pair (plus its derivation notes).
-
-    Like :func:`_stage4_pair_entry`, a pure function of the evidence base
-    and the unit of the pair-level parallel fan-out.
-    """
+    """The Stage-5 entry for one operation pair (plus its derivation notes)."""
     notes: list[str] = []
     if entry.strongest() is Dependency.ND:
         return entry, notes
@@ -707,75 +697,6 @@ def _stage5_pair_entry(
     else:
         refined = _stage5_entry_paper(entry, condition, complement)
     return refined, notes
-
-
-def _stage5_table(
-    evidence: EvidenceBase,
-    profiles: Mapping[str, OperationProfile],
-    stage4: CompatibilityTable,
-    options: MethodologyOptions,
-    notes: list[str],
-    pair_map=None,
-) -> CompatibilityTable:
-    table = CompatibilityTable(stage4.operations, name="stage5")
-    cells = list(stage4.cells())
-    if pair_map is not None:
-        results = pair_map(
-            _pair_task,
-            [("stage5", invoked, executing, entry) for invoked, executing, entry in cells],
-        )
-    else:
-        results = [
-            _stage5_pair_entry(evidence, profiles, invoked, executing, entry, options)
-            for invoked, executing, entry in cells
-        ]
-    for (invoked, executing, _entry), (new_entry, pair_notes) in zip(cells, results):
-        table.set_entry(invoked, executing, new_entry)
-        notes.extend(pair_notes)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Parallel fan-out plumbing
-# ---------------------------------------------------------------------------
-
-#: Per-process worker state: ``(evidence, profiles, options)``.  Populated
-#: by the parent before forking (inherited for free under ``fork``) or by
-#: :func:`_init_stage_worker` under ``spawn``; cleared by :func:`derive`.
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _init_stage_worker(adt, names, bounds, attribution, options, profiles) -> None:
-    """Pool initializer: ensure the worker holds a full evidence base.
-
-    Under ``fork`` the parent's ``_WORKER_STATE`` (and its installed
-    execution cache) arrive with the process image, so this is a no-op;
-    under ``spawn`` the worker rebuilds the state from the pickled
-    arguments, behind its own fresh cache.
-    """
-    if _WORKER_STATE:
-        return
-    if options.use_cache:
-        install_execution_cache(ExecutionCache(maxsize=options.cache_maxsize))
-    _WORKER_STATE["evidence"] = EvidenceBase(adt, names, bounds, attribution)
-    _WORKER_STATE["profiles"] = profiles
-    _WORKER_STATE["options"] = options
-
-
-def _pair_task(task: tuple[str, str, str, Entry]) -> tuple[Entry, list[str]]:
-    """One fan-out unit: dispatch a ``(stage, invoked, executing, entry)``
-    tuple against the worker's evidence base."""
-    stage, invoked, executing, entry = task
-    evidence = _WORKER_STATE["evidence"]
-    profiles = _WORKER_STATE["profiles"]
-    options = _WORKER_STATE["options"]
-    if stage == "stage4":
-        return _stage4_pair_entry(
-            evidence, profiles, invoked, executing, entry, options
-        )
-    return _stage5_pair_entry(
-        evidence, profiles, invoked, executing, entry, options
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -807,14 +728,13 @@ def derive(
     options = options or MethodologyOptions()
     bounds = options.bounds or adt.default_bounds
     names = list(operations) if operations is not None else adt.operation_names()
-    jobs = resolve_jobs(options.jobs)
     notes: list[str] = []
 
     # The shared execution cache: installed for the whole run so Stage 2
     # characterisation, the evidence base and the Stage-4/5 validators all
     # draw from one memoized pool.  Restored (not just removed) on exit so
     # nested derivations compose.
-    cache = ExecutionCache(maxsize=options.cache_maxsize) if options.use_cache else None
+    cache = ExecutionCache() if options.use_cache else None
     previous = install_execution_cache(cache) if cache is not None else None
     profiler = StageProfiler(adt.name, tracer, cache=cache)
     try:
@@ -838,48 +758,31 @@ def derive(
             stage3 = _stage3_table(names, profiles)
             stage.count_table(stage3)
 
-        # Stages 4 and 5: conditional refinement over the evidence base,
-        # fanned out per pair across worker processes when jobs > 1.
+        # Stages 4 and 5: conditional refinement over the evidence base.
         with profiler.stage("evidence"):
             evidence = EvidenceBase(adt, names, bounds, options.attribution)
-        with ExitStack() as stack:
-            pair_map = None
-            if jobs > 1:
-                # Populate the worker state *before* the pool exists so
-                # fork-started workers inherit the built evidence base;
-                # spawn-started ones rebuild it from the initargs.
-                _WORKER_STATE["evidence"] = evidence
-                _WORKER_STATE["profiles"] = profiles
-                _WORKER_STATE["options"] = options
-                stack.callback(_WORKER_STATE.clear)
-                pair_map = stack.enter_context(
-                    worker_pool(
-                        jobs,
-                        _init_stage_worker,
-                        (adt, names, bounds, options.attribution, options, profiles),
-                    )
+        with profiler.stage("stage4") as stage:
+            stage4 = _refined_table(
+                evidence, profiles, stage3, options, notes,
+                _stage4_pair_entry, "stage4",
+            )
+            stage.count_table(stage4)
+        with profiler.stage("stage5") as stage:
+            if options.refine_localities:
+                stage5 = _refined_table(
+                    evidence, profiles, stage4, options, notes,
+                    _stage5_pair_entry, "stage5",
                 )
-            with profiler.stage("stage4") as stage:
-                stage4 = _stage4_table(
-                    evidence, profiles, stage3, options, notes, pair_map
+            else:
+                stage5 = stage4.map_entries(
+                    lambda *_args: _args[2], name="stage5"
                 )
-                stage.count_table(stage4)
-            with profiler.stage("stage5") as stage:
-                if options.refine_localities:
-                    stage5 = _stage5_table(
-                        evidence, profiles, stage4, options, notes, pair_map
-                    )
-                else:
-                    stage5 = stage4.map_entries(
-                        lambda *_args: _args[2], name="stage5"
-                    )
-                stage.count_table(stage5)
+            stage.count_table(stage5)
     finally:
         if cache is not None:
             install_execution_cache(previous)
 
     profile = profiler.profile
-    profile.parallel_jobs = jobs
     if cache is not None:
         stats = cache.stats()
         profile.cache_hits = stats.hits

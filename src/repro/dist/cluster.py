@@ -266,6 +266,10 @@ class Cluster:
     def _coordinator_crashed(self) -> None:
         """Restart the coordinator from its log (volatile 2PC state dies)."""
         self.stats.node_crashes += 1
+        self._recover_coordinator()
+
+    def _recover_coordinator(self) -> None:
+        """Replay the coordinator's log, count it, and trace the recovery."""
         self.coordinator.recover()
         self.stats.coordinator_recoveries += 1
         if self.tracer:
@@ -291,16 +295,7 @@ class Cluster:
         if victim == self.coordinator.name:
             # The driver embeds the coordinator, so its restart is
             # immediate; the damage is the lost volatile state.
-            self.coordinator.recover()
-            self.stats.coordinator_recoveries += 1
-            if self.tracer:
-                self.tracer.emit(
-                    NodeRecovered(
-                        time=self.bus.now,
-                        node=victim,
-                        replayed=len(self.coordinator.log),
-                    )
-                )
+            self._recover_coordinator()
         else:
             # Nodes stay unreachable for the rest of the round and are
             # revived from their logs at the next turn boundary.
@@ -317,16 +312,7 @@ class Cluster:
                 continue  # backup replicas are revived by the manager
             self.bus.revive(actor)
             if actor == self.coordinator.name:
-                self.coordinator.recover()
-                self.stats.coordinator_recoveries += 1
-                if self.tracer:
-                    self.tracer.emit(
-                        NodeRecovered(
-                            time=self.bus.now,
-                            node=actor,
-                            replayed=len(self.coordinator.log),
-                        )
-                    )
+                self._recover_coordinator()
                 continue
             node = self._node_by_name[actor]
             recovery_span = self._spans.start(

@@ -45,8 +45,6 @@ class DerivationProfile:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: Worker processes of the Stage-4/5 pair fan-out (1 = sequential).
-    parallel_jobs: int = 1
 
     @property
     def total_seconds(self) -> float:
@@ -122,8 +120,6 @@ class DerivationProfile:
                 f" cache_hit_rate={self.cache_hit_rate:.3f}"
                 f" evictions={self.cache_evictions}"
             )
-        if self.parallel_jobs != 1:
-            total_line += f" jobs={self.parallel_jobs}"
         lines.append(total_line)
         return "\n".join(lines)
 

@@ -1,6 +1,6 @@
-"""repro.perf — shared evidence base, execution memoization, parallel fan-out.
+"""repro.perf — shared evidence base, execution memoization, hot-path compilation.
 
-Three layers, each usable on its own:
+Four modules, each usable on its own:
 
 * :mod:`repro.perf.cache` — a bounded LRU :class:`ExecutionCache` that
   :func:`~repro.spec.adt.execute_invocation` consults when installed, so
@@ -9,9 +9,6 @@ Three layers, each usable on its own:
 * :mod:`repro.perf.evidence` — the :class:`EvidenceBase` built once per
   derivation: the full state x invocation execution matrix, the successor
   index, memoized replay, and the Stage-4 evidence queries.
-* :mod:`repro.perf.parallel` — ``multiprocessing`` fan-out over the
-  independent O(n^2) operation pairs of the table builders, with a
-  sequential fallback (``jobs <= 1``) that is bit-identical.
 * :mod:`repro.perf.shadow` — the :class:`ShadowStateIndex` backing the
   runtime scheduler's certification hot path: per-object, per-active-
   transaction "log without that transaction" replay states, advanced
@@ -41,7 +38,6 @@ from repro.perf.codegen import (
     compiled_execute,
 )
 from repro.perf.evidence import EvidenceBase
-from repro.perf.parallel import resolve_jobs, worker_pool
 from repro.perf.shadow import ShadowStateIndex, ShadowStats
 
 __all__ = [
@@ -57,6 +53,4 @@ __all__ = [
     "compiled_execute",
     "ensure_execution_cache",
     "execution_cache",
-    "resolve_jobs",
-    "worker_pool",
 ]

@@ -15,10 +15,10 @@ Three formulations, all decided by bounded enumeration:
   in one order they can be reordered with the same effect.
 
 The operation-level tables accept a prebuilt
-:class:`~repro.perf.evidence.EvidenceBase` (``evidence=``) and a worker
-count (``jobs=``); standalone calls run behind a temporary execution
-cache (:func:`~repro.perf.cache.ensure_execution_cache`), inside a
-derivation they join its cache.  Forward commutativity is symmetric in
+:class:`~repro.perf.evidence.EvidenceBase` (``evidence=``); standalone
+calls run behind a temporary execution cache
+(:func:`~repro.perf.cache.ensure_execution_cache`), inside a derivation
+they join its cache.  Forward commutativity is symmetric in
 its two events, so the forward/invocation tables decide each unordered
 operation pair once and mirror it; backward commutativity is *not*
 symmetric, so the backward table decides both orientations of each
@@ -27,9 +27,10 @@ unordered pair in one pass over the shared replays.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.perf.cache import ensure_execution_cache
 from repro.perf.evidence import EvidenceBase
-from repro.perf.parallel import worker_pool
 from repro.semantics.history import HistoryEvent, event_alphabet, replay
 from repro.spec.adt import ADTSpec, AbstractState, EnumerationBounds, execute_invocation
 from repro.spec.operation import Invocation
@@ -250,56 +251,15 @@ def _invocation_pair(
     return value, value
 
 
-_PAIR_FUNCTIONS = {
-    "forward": _forward_pair,
-    "backward": _backward_pair,
-    "invocation": _invocation_pair,
-}
-
-#: Per-process worker state of the table fan-out (see
-#: :func:`repro.core.methodology._WORKER_STATE` for the same pattern).
-_TABLE_WORKER_STATE: dict[str, object] = {}
-
-
-def _init_table_worker(adt, bounds) -> None:
-    """Pool initializer: no-op under ``fork`` (state inherited), rebuild
-    the evidence base behind a fresh cache under ``spawn``."""
-    if _TABLE_WORKER_STATE:
-        return
-    from repro.perf.cache import ExecutionCache
-    from repro.spec.adt import install_execution_cache
-
-    install_execution_cache(ExecutionCache())
-    evidence = EvidenceBase(adt, bounds=bounds)
-    _TABLE_WORKER_STATE["adt"] = adt
-    _TABLE_WORKER_STATE["bounds"] = bounds
-    _TABLE_WORKER_STATE["evidence"] = evidence
-    _TABLE_WORKER_STATE["events"] = events_by_operation(adt, bounds, evidence=evidence)
-
-
-def _table_pair_task(task: tuple[str, str, str]) -> tuple[bool, bool]:
-    kind, first_name, second_name = task
-    return _PAIR_FUNCTIONS[kind](
-        _TABLE_WORKER_STATE["adt"],
-        _TABLE_WORKER_STATE["events"],
-        first_name,
-        second_name,
-        _TABLE_WORKER_STATE["bounds"],
-        _TABLE_WORKER_STATE["evidence"],
-    )
-
-
 def _operation_pair_table(
     adt: ADTSpec,
     bounds: EnumerationBounds | None,
     evidence: EvidenceBase | None,
-    jobs: int,
-    kind: str,
+    pair_fn: Callable[..., tuple[bool, bool]],
 ) -> dict[tuple[str, str], bool]:
     """Shared driver of the three tables: decide each unordered operation
-    pair once (both orientations for the asymmetric kinds) and assemble
-    the ``(second, first)``-keyed table, optionally fanning the pairs out
-    across worker processes."""
+    pair once with ``pair_fn`` (both orientations for the asymmetric
+    kinds) and assemble the ``(second, first)``-keyed table."""
     names = adt.operation_names()
     pairs = [
         (names[i], names[j])
@@ -310,23 +270,7 @@ def _operation_pair_table(
         if evidence is None:
             evidence = EvidenceBase(adt, bounds=bounds)
         events = events_by_operation(adt, bounds, evidence=evidence)
-        if jobs > 1:
-            _TABLE_WORKER_STATE["adt"] = adt
-            _TABLE_WORKER_STATE["bounds"] = bounds
-            _TABLE_WORKER_STATE["evidence"] = evidence
-            _TABLE_WORKER_STATE["events"] = events
-            try:
-                with worker_pool(jobs, _init_table_worker, (adt, bounds)) as pair_map:
-                    results = pair_map(
-                        _table_pair_task, [(kind, a, b) for a, b in pairs]
-                    )
-            finally:
-                _TABLE_WORKER_STATE.clear()
-        else:
-            pair_fn = _PAIR_FUNCTIONS[kind]
-            results = [
-                pair_fn(adt, events, a, b, bounds, evidence) for a, b in pairs
-            ]
+        results = [pair_fn(adt, events, a, b, bounds, evidence) for a, b in pairs]
     table: dict[tuple[str, str], bool] = {}
     for (a, b), (key_ba, key_ab) in zip(pairs, results):
         table[(b, a)] = key_ba
@@ -338,7 +282,6 @@ def forward_commutativity_table(
     adt: ADTSpec,
     bounds: EnumerationBounds | None = None,
     evidence: EvidenceBase | None = None,
-    jobs: int = 1,
 ) -> dict[tuple[str, str], bool]:
     """Weihl's forward commutativity, aggregated to the operation level.
 
@@ -347,14 +290,13 @@ def forward_commutativity_table(
     ``(second, first)`` like all tables (symmetric by construction, so
     each unordered pair is decided once and mirrored).
     """
-    return _operation_pair_table(adt, bounds, evidence, jobs, "forward")
+    return _operation_pair_table(adt, bounds, evidence, _forward_pair)
 
 
 def backward_commutativity_table(
     adt: ADTSpec,
     bounds: EnumerationBounds | None = None,
     evidence: EvidenceBase | None = None,
-    jobs: int = 1,
 ) -> dict[tuple[str, str], bool]:
     """Weihl's backward commutativity at the operation level.
 
@@ -365,14 +307,13 @@ def backward_commutativity_table(
     sufficed for both — but do not forward-commute near the balance
     boundary).
     """
-    return _operation_pair_table(adt, bounds, evidence, jobs, "backward")
+    return _operation_pair_table(adt, bounds, evidence, _backward_pair)
 
 
 def commutativity_table(
     adt: ADTSpec,
     bounds: EnumerationBounds | None = None,
     evidence: EvidenceBase | None = None,
-    jobs: int = 1,
 ) -> dict[tuple[str, str], bool]:
     """Operation-level commutativity: all invocation pairs commute everywhere.
 
@@ -380,4 +321,4 @@ def commutativity_table(
     generalise.  Keyed ``(second_operation, first_operation)`` (symmetric
     by construction, but keyed both ways for uniform lookups).
     """
-    return _operation_pair_table(adt, bounds, evidence, jobs, "invocation")
+    return _operation_pair_table(adt, bounds, evidence, _invocation_pair)

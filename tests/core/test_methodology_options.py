@@ -107,3 +107,29 @@ class TestBoundsOverride:
         assert result.final_table.is_complete()
         # Core conflicts survive even under tiny bounds.
         assert result.stage3_table.dependency("Pop", "Push") is Dependency.AD
+
+
+
+_PARTITIONS = ("auto", "first", "second", "joint", "none")
+_FEASIBILITIES = ("serial", "any")
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize(
+        "field, value, allowed",
+        [
+            ("outcome_partition", "bogus", _PARTITIONS),
+            ("outcome_partition", "Auto", _PARTITIONS),
+            ("outcome_partition", "", _PARTITIONS),
+            ("outcome_feasibility", "bogus", _FEASIBILITIES),
+            ("outcome_feasibility", "Serial", _FEASIBILITIES),
+            ("outcome_feasibility", "all", _FEASIBILITIES),
+        ],
+    )
+    def test_unknown_string_option_is_rejected(self, field, value, allowed):
+        with pytest.raises(ValueError, match=field) as info:
+            MethodologyOptions(**{field: value})
+        message = str(info.value)
+        assert repr(value) in message
+        for name in allowed:
+            assert repr(name) in message

@@ -1,15 +1,14 @@
-"""Parity: cached/parallel derivations are bit-identical to uncached/sequential.
+"""Parity: cached derivations are bit-identical to uncached ones.
 
-The central correctness contract of :mod:`repro.perf` — memoization and
-the pair-level fan-out are pure plumbing and may never change a single
-table cell, condition, or derivation note.
+The central correctness contract of :mod:`repro.perf` — memoization is
+pure plumbing and may never change a single table cell, condition, or
+derivation note.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
 from repro.adts.registry import builtin_names, make_adt
 from repro.core.methodology import MethodologyOptions, derive
@@ -61,42 +60,3 @@ def test_cache_parity_across_option_combinations(options):
     )
     assert_same_result(cached, uncached)
 
-
-def test_parallel_parity_small_adt():
-    adt = AccountSpec(max_balance=2, amounts=(1,))
-    sequential = derive(adt, options=MethodologyOptions(jobs=1))
-    parallel = derive(adt, options=MethodologyOptions(jobs=2))
-    assert_same_result(sequential, parallel)
-    assert parallel.profile.parallel_jobs == 2
-
-
-def test_parallel_parity_qstack():
-    adt = QStackSpec()
-    sequential = derive(adt)
-    parallel = derive(adt, options=MethodologyOptions(jobs=2))
-    assert_same_result(sequential, parallel)
-
-
-def test_parallel_uncached_parity():
-    """jobs>1 with the cache off is still bit-identical."""
-    adt = AccountSpec(max_balance=2, amounts=(1,))
-    baseline = derive(adt, options=MethodologyOptions(use_cache=False))
-    parallel = derive(adt, options=MethodologyOptions(use_cache=False, jobs=2))
-    assert_same_result(baseline, parallel)
-
-
-def test_commutativity_tables_parallel_parity():
-    from repro.semantics.commutativity import (
-        backward_commutativity_table,
-        commutativity_table,
-        forward_commutativity_table,
-    )
-
-    adt = AccountSpec(max_balance=2, amounts=(1,))
-    assert forward_commutativity_table(adt) == forward_commutativity_table(
-        adt, jobs=2
-    )
-    assert backward_commutativity_table(adt) == backward_commutativity_table(
-        adt, jobs=2
-    )
-    assert commutativity_table(adt) == commutativity_table(adt, jobs=2)
