@@ -226,9 +226,10 @@ def _drive_frontend(
     assignments = shard_workload(workload, cluster.shard_names, seed)
     for index, program in enumerate(workload.programs):
         if partition is not None and index == partition[0]:
-            link = frozenset((cluster.coordinator.name, partition[1]))
-            cluster.bus._partitions[link] = cluster.bus.now + partition[2]
-            cluster.stats.partitions_opened += 1
+            cluster.bus.open_partition(
+                frozenset((cluster.coordinator.name, partition[1])),
+                partition[2],
+            )
         gtxn = frontend.begin()
         for step_index, step in enumerate(program.steps):
             shard = assignments[index][step_index]

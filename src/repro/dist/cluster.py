@@ -15,19 +15,32 @@ node's scheduler see the exact same call sequence as the bare harness
 
 Turn discipline:
 
-* Turn boundaries (once per round) revive crashed endpoints — nodes
-  recover from their durable logs and resolve in-doubt transactions with
-  the termination protocol — flush unacknowledged decisions, and consult
-  the fault plan's crash point (round-robin victim over the coordinator
-  and the nodes).
-* A coordinator crash (:class:`~repro.dist.bus.SimCrash` escaping a
-  protocol crash point) loses the turn: volatile 2PC state dies, the
-  coordinator restarts from its decision log, and the runner retries on
+* :meth:`Cluster.run` is the harness's round-robin script played through
+  a :class:`ClusterFrontend`, which is the one owner of the per-gtxn 2PC
+  bookkeeping: participants and per-node op sequence numbers, the
+  audit's ``gstatus``/``grecords``/``gstamps``, eager settlement of
+  cascades, and the global deadlock break.  The script itself only
+  calls ``begin``/``status``/``request``/``try_commit``/``abort`` and
+  consults the plan's per-turn fault points (``crash``,
+  ``spurious_abort``, ``op_failure``, ``commit_delay``).
+* Round boundaries (once per round) run the frontend's boundary work:
+  replica-group control, reviving crashed endpoints (nodes recover from
+  their durable logs and resolve in-doubt transactions with the
+  termination protocol), flushing unacknowledged decisions and
+  re-driving aborts a fault left incomplete.  The fault plan's crash
+  point is drawn once per turn (round-robin victim over the coordinator
+  and the nodes); a served run draws it once per tick instead.
+* An unreachable attempt, or a coordinator crash
+  (:class:`~repro.dist.bus.SimCrash` escaping a protocol crash point,
+  after which the coordinator restarts from its decision log), is a
+  no-decision outcome: nothing is recorded and the runner retries on
   its next turn.
 * Cross-node wait cycles — invisible to every local scheduler — are
   detected on the coordinator's global wait graph, fed by blocked-op and
   commit-wait outcomes; the youngest cycle member is aborted, matching
   the local victim rule.
+* :meth:`ClusterFrontend.finalize` settles the tail with the crash plan
+  suspended.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from repro.cc.harness import Transcript
+from repro.cc.harness import Transcript, _Runner
 from repro.cc.scheduler import CommitDecision, OpDecision
 from repro.cc.transaction import OperationRecord
 from repro.cc.workload import Workload
@@ -130,35 +143,6 @@ class DistTranscript:
             final_state=self.final_states[0][1],
             seed_stats=self.seed_stats,
         )
-
-
-class _GRunner:
-    """Progress of one global transaction program through the cluster."""
-
-    __slots__ = (
-        "gtxn",
-        "program",
-        "shards",
-        "step",
-        "done",
-        "externally_aborted",
-        "participants",
-        "op_counts",
-        "pending_abort",
-        "admitted_at",
-    )
-
-    def __init__(self, gtxn: int, program, shards: tuple[str, ...]) -> None:
-        self.gtxn = gtxn
-        self.program = program
-        self.shards = shards  # per-step shard assignment
-        self.step = 0
-        self.done = False
-        self.externally_aborted = False
-        self.participants: set[str] = set()
-        self.op_counts: dict[str, int] = {}  # node -> executed ops there
-        self.pending_abort: tuple[str, str] | None = None  # (kind, reason)
-        self.admitted_at = 0.0  # bus sim-time at admission (e2e latency)
 
 
 class Cluster:
@@ -282,7 +266,7 @@ class Cluster:
             )
 
     def _induce_crash(self, victim: str) -> None:
-        """A fault-plan crash: kill ``victim`` at a turn boundary."""
+        """A fault-plan crash: kill ``victim`` between two actions."""
         if self.tracer:
             self.tracer.emit(
                 NodeCrashed(
@@ -297,19 +281,35 @@ class Cluster:
             # immediate; the damage is the lost volatile state.
             self._recover_coordinator()
         else:
-            # Nodes stay unreachable for the rest of the round and are
-            # revived from their logs at the next turn boundary.
+            # Nodes stay unreachable until the next boundary revives
+            # them from their logs.
             self.bus.crash(victim)
 
+    def _emit_fault(self, kind: str, gtxn: int = -1) -> None:
+        if self.tracer:
+            self.tracer.emit(
+                FaultInjected(time=self.bus.now, kind=kind, txn=gtxn)
+            )
+
+    def _draw_crash(self) -> None:
+        """The fault plan's crash point; the victim rotates round-robin."""
+        if self.plan and self.plan.crash():
+            self._emit_fault("crash")
+            self._induce_crash(next(self._victims))
+
+    def _down_endpoints(self) -> set[str]:
+        """Crashed coordinator/primary endpoints (backups excluded)."""
+        return {
+            actor
+            for actor in self.bus.down()
+            if actor == self.coordinator.name or actor in self._node_by_name
+        }
+
     def _revive_down(self, mark_aborted) -> None:
-        for actor in sorted(self.bus.down()):
+        # Backup replicas are revived by the replication manager.
+        for actor in sorted(self._down_endpoints()):
             if actor in self._held:
                 continue  # a failover is brewing; hands off
-            if (
-                actor != self.coordinator.name
-                and actor not in self._node_by_name
-            ):
-                continue  # backup replicas are revived by the manager
             self.bus.revive(actor)
             if actor == self.coordinator.name:
                 self._recover_coordinator()
@@ -372,7 +372,15 @@ class Cluster:
         concurrency: int | None = None,
         max_turns: int | None = None,
     ) -> DistTranscript:
-        """Run ``workload`` to completion; the distributed ``drive``."""
+        """Run ``workload`` to completion; the distributed ``drive``.
+
+        The round-robin script of :func:`~repro.cc.harness.drive` played
+        through a :class:`ClusterFrontend`: each turn is one public
+        frontend call or one of the plan's per-turn fault points, each
+        round opens with the frontend's boundary work, and
+        :meth:`ClusterFrontend.finalize` settles the tail.
+        """
+        frontend = ClusterFrontend(self, allow_faults=True)
         programs = list(workload.programs)
         assignments = shard_workload(workload, self.shard_names, seed)
         concurrency = (
@@ -380,99 +388,26 @@ class Cluster:
         )
         if max_turns is None:
             max_turns = 1000 * max(1, workload.total_operations())
-        coordinator = self.coordinator
         plan = self.plan
 
         ops: list = []
         resolutions: list = []
-        live: list[_GRunner] = []
-        runner_of: dict[int, _GRunner] = {}
+        live: list[_Runner] = []
+        shards_of: dict[int, tuple[str, ...]] = {}
         admitted = 0
-        stamps = itertools.count()
-        sequence = itertools.count()
 
         def admit() -> None:
             nonlocal admitted
             while admitted < len(programs) and len(live) < concurrency:
-                runner = _GRunner(
-                    admitted, programs[admitted], assignments[admitted]
-                )
-                runner.admitted_at = self.bus.now
-                root = self._spans.start(
-                    trace_id_for(admitted), "txn", admitted
-                )
-                self._root_span[admitted] = root
-                self._root_ctx[admitted] = root.context
+                runner = _Runner(frontend.begin(), programs[admitted])
+                shards_of[runner.txn] = assignments[admitted]
                 live.append(runner)
-                runner_of[admitted] = runner
                 admitted += 1
-
-        def mark_aborted(gtxns) -> None:
-            for gtxn in gtxns:
-                victim = runner_of.get(gtxn)
-                if victim is not None and not victim.done:
-                    victim.externally_aborted = True
-
-        def emit_fault(kind: str, gtxn: int = -1, detail: str = "") -> None:
-            if self.tracer:
-                self.tracer.emit(
-                    FaultInjected(
-                        time=self.bus.now, kind=kind, txn=gtxn, detail=detail
-                    )
-                )
-
-        def finish(runner: _GRunner, status: str) -> None:
-            runner.done = True
-            self.gstatus[runner.gtxn] = status
-            coordinator.clear_waiting(runner.gtxn)
-            live.remove(runner)
-            self.latency.observe(
-                "e2e",
-                "committed" if status == "COMMITTED" else "aborted",
-                self.bus.now - runner.admitted_at,
-            )
-            root = self._root_span.pop(runner.gtxn, None)
-            if root is not None:
-                root.finish(status)
-
-        def attempt_abort(runner: _GRunner, reason: str):
-            """One abort attempt; ``None`` means a node was unreachable."""
-            if not runner.participants:
-                return ()
-            others = coordinator.do_abort(
-                runner.gtxn, sorted(runner.participants), reason=reason,
-                span=self._root_ctx.get(runner.gtxn, _NO_CONTEXT),
-            )
-            if others is None:
-                return None
-            mark_aborted(others)
-            return others
-
-        def break_deadlock() -> None:
-            victim_gtxn = coordinator.find_deadlock_victim()
-            if victim_gtxn is None:
-                return
-            victim = runner_of.get(victim_gtxn)
-            if victim is None or victim.done:
-                coordinator.clear_waiting(victim_gtxn)
-                return
-            others = attempt_abort(victim, "global-deadlock")
-            if others is None:
-                return  # unreachable; the cycle is re-found later
-            self.stats.global_deadlocks += 1
-            coordinator.clear_waiting(victim_gtxn)
-            victim.externally_aborted = True
-
-        def turn_boundary() -> None:
-            if self.replication is not None:
-                self.replication.boundary(mark_aborted)
-            self._revive_down(mark_aborted)
-            coordinator.flush_unacked()
 
         admit()
         turns = 0
         while live:
-            turn_boundary()
+            frontend._boundary()
             for runner in list(live):
                 turns += 1
                 if turns > max_turns:
@@ -480,94 +415,71 @@ class Cluster:
                         f"cluster exceeded {max_turns} turns; "
                         f"workload livelocked"
                     )
-                gtxn = runner.gtxn
-                if plan and plan.crash():
-                    # A fault-plan crash: the victim rotates round-robin
-                    # over the coordinator and the nodes; crashed nodes
-                    # stay unreachable until the next turn boundary.
-                    emit_fault("crash")
-                    self._induce_crash(next(self._victims))
-                try:
-                    if runner.externally_aborted:
-                        # Aborted from outside its own turn: a cascade, a
-                        # deadlock victim, or a 2PC abort seen elsewhere.
-                        # The abort is known from ONE node's report; the
-                        # transaction's other legs must be taken down too
-                        # (idempotent: dead legs ack without a scheduler
-                        # call, so a one-shard run stays bit-identical to
-                        # the harness, which makes no call here either).
-                        others = attempt_abort(runner, "cascade")
-                        if others is None:
-                            continue  # a leg was unreachable; retry
-                        resolutions.append((gtxn, "observed-abort", ()))
-                        finish(runner, "ABORTED")
+                gtxn = runner.txn
+                self._draw_crash()
+                if frontend.status(gtxn) != "ACTIVE":
+                    # Settled from outside its own turn: a cascade, a
+                    # deadlock victim, or a 2PC abort seen elsewhere.
+                    resolutions.append((gtxn, "observed-abort", ()))
+                    live.remove(runner)
+                    continue
+                if runner.step < len(runner.program.steps):
+                    if plan and plan.spurious_abort(gtxn):
+                        self._emit_fault("spurious_abort", gtxn)
+                        others = frontend.abort(gtxn, "fault-injected")
+                        resolutions.append((gtxn, "fault-abort", others))
+                        live.remove(runner)
                         continue
-                    if runner.pending_abort is not None:
-                        kind, reason = runner.pending_abort
-                        others = attempt_abort(runner, reason)
-                        if others is None:
-                            continue  # retry on the next turn
-                        if kind:  # "" = an own-abort already recorded
-                            resolutions.append((gtxn, kind, tuple(others)))
-                        finish(runner, "ABORTED")
-                        continue
-                    if runner.step < len(runner.program.steps):
-                        if plan and plan.spurious_abort(gtxn):
-                            emit_fault("spurious_abort", gtxn=gtxn)
-                            runner.pending_abort = (
-                                "fault-abort", "fault-injected",
-                            )
-                            others = attempt_abort(runner, "fault-injected")
-                            if others is not None:
-                                resolutions.append(
-                                    (gtxn, "fault-abort", tuple(others))
-                                )
-                                finish(runner, "ABORTED")
-                            continue
-                        if plan and plan.op_failure(gtxn):
-                            emit_fault("op_failure", gtxn=gtxn)
-                            continue  # transient: retried next turn
-                        self._op_turn(
-                            runner, ops, sequence, finish, attempt_abort,
-                            mark_aborted, break_deadlock,
-                        )
-                        continue
-                    if runner.program.voluntary_abort:
-                        runner.pending_abort = ("voluntary-abort", "voluntary")
-                        others = attempt_abort(runner, "voluntary")
-                        if others is None:
-                            continue
-                        resolutions.append(
-                            (gtxn, "voluntary-abort", tuple(others))
-                        )
-                        finish(runner, "ABORTED")
-                        continue
-                    if plan and plan.commit_delay(gtxn) is not None:
-                        emit_fault("commit_delay", gtxn=gtxn)
-                        continue
-                    self._commit_turn(
-                        runner,
-                        resolutions,
-                        stamps,
-                        finish,
-                        mark_aborted,
-                        break_deadlock,
+                    if plan and plan.op_failure(gtxn):
+                        self._emit_fault("op_failure", gtxn)
+                        continue  # transient: retried next turn
+                    decision = frontend.request(
+                        gtxn,
+                        shards_of[gtxn][runner.step],
+                        runner.program.steps[runner.step].invocation,
                     )
-                except SimCrash:
-                    # The coordinator died mid-protocol: the action is
-                    # lost and retried on the runner's next turn.
-                    self._coordinator_crashed()
+                    if decision is _TRANSIENT_OP:
+                        continue  # no decision was observed; retried
+                    ops.append((gtxn, runner.step, decision))
+                    if decision.executed:
+                        runner.step += 1
+                    elif decision.aborted:
+                        # Recorded in the op decision alone, as in the
+                        # harness; the frontend took the other legs down.
+                        live.remove(runner)
+                    continue
+                if runner.program.voluntary_abort:
+                    others = frontend.abort(gtxn, "voluntary")
+                    resolutions.append((gtxn, "voluntary-abort", others))
+                    live.remove(runner)
+                    continue
+                if plan and plan.commit_delay(gtxn) is not None:
+                    self._emit_fault("commit_delay", gtxn)
+                    continue
+                decision = frontend.try_commit(gtxn)
+                if decision is _TRANSIENT_COMMIT:
+                    continue
+                if decision.committed:
+                    resolutions.append((gtxn, "committed", ()))
+                    live.remove(runner)
+                elif decision.must_abort:
+                    resolutions.append((gtxn, "must-abort", ()))
+                    live.remove(runner)
+                else:
+                    resolutions.append(
+                        (gtxn, "commit-waiting",
+                         tuple(sorted(decision.waiting_on)))
+                    )
             admit()
-        self._finalize(mark_aborted)
+        frontend.finalize()
 
-        self.admitted = admitted
         edge_map = stitch_edges(self)
         edges = tuple(
             sorted((pair, dep.name) for pair, dep in edge_map.items())
         )
         statuses = tuple(
             (gtxn, self.gstatus.get(gtxn, "ABORTED"))
-            for gtxn in range(admitted)
+            for gtxn in range(self.admitted)
         )
         final_states = tuple(
             (shard, render_state(self._shard_object(shard).state()))
@@ -608,141 +520,6 @@ class Cluster:
                 return result
         return self._shard_object(shard).preview(invocation)
 
-    def _op_turn(
-        self, runner, ops, sequence, finish, attempt_abort,
-        mark_aborted, break_deadlock,
-    ) -> None:
-        """Forward the runner's next operation and absorb the outcome."""
-        gtxn = runner.gtxn
-        step = runner.program.steps[runner.step]
-        shard = runner.shards[runner.step]
-        node_name = self.owner[shard]
-        outcome = self.coordinator.do_operation(
-            gtxn,
-            node_name,
-            {
-                "op_seq": runner.op_counts.get(node_name, 0),
-                "object_name": shard,
-                "invocation": step.invocation,
-            },
-            span=self._root_ctx.get(gtxn, _NO_CONTEXT),
-        )
-        if outcome.status == "unreachable":
-            return  # no decision was observed; retried next turn
-        runner.participants.add(node_name)
-        mark_aborted(outcome.others_aborted)
-        decision = OpDecision(
-            executed=outcome.status == "executed",
-            returned=outcome.returned,
-            blocked_on=frozenset(outcome.blocked_on),
-            aborted=outcome.status == "aborted",
-            dependencies=outcome.dependencies,
-        )
-        ops.append((gtxn, runner.step, decision))
-        if decision.executed:
-            runner.op_counts[node_name] = (
-                runner.op_counts.get(node_name, 0) + 1
-            )
-            self.grecords.setdefault(gtxn, []).append(
-                OperationRecord(
-                    object_name=shard,
-                    invocation=step.invocation,
-                    returned=outcome.returned,
-                    sequence=next(sequence),
-                )
-            )
-            runner.step += 1
-            self.coordinator.clear_waiting(gtxn)
-        elif decision.aborted:
-            # An own-turn abort is recorded in the op decision alone —
-            # the harness writes no resolution line for it either.  The
-            # other legs must still be taken down (idempotent: on the
-            # originating node the dead leg acks without a scheduler
-            # call, so one-shard parity is untouched).
-            others = attempt_abort(runner, "cascade")
-            if others is None:
-                runner.pending_abort = ("", "cascade")
-            else:
-                finish(runner, "ABORTED")
-        else:
-            self.coordinator.note_waiting(gtxn, outcome.blocked_on)
-            break_deadlock()
-
-    def _commit_turn(
-        self, runner, resolutions, stamps, finish, mark_aborted, break_deadlock
-    ) -> None:
-        gtxn = runner.gtxn
-        if not runner.participants:
-            # A stepless program: nothing anywhere to prepare — the
-            # trivial commit, decided locally by the driver.
-            resolutions.append((gtxn, "committed", ()))
-            self.gstamps[gtxn] = next(stamps)
-            finish(runner, "COMMITTED")
-            return
-        outcome = self.coordinator.do_commit(
-            gtxn, sorted(runner.participants),
-            span=self._root_ctx.get(gtxn, _NO_CONTEXT),
-        )
-        if outcome.status == "unreachable":
-            return
-        mark_aborted(outcome.others_aborted)
-        if outcome.status == "committed":
-            resolutions.append((gtxn, "committed", ()))
-            self.gstamps[gtxn] = next(stamps)
-            finish(runner, "COMMITTED")
-        elif outcome.status == "aborted":
-            resolutions.append((gtxn, "must-abort", ()))
-            finish(runner, "ABORTED")
-        else:  # waiting
-            resolutions.append(
-                (gtxn, "commit-waiting", tuple(sorted(outcome.waiting_on)))
-            )
-            self.coordinator.note_waiting(gtxn, outcome.waiting_on)
-            break_deadlock()
-
-    def _finalize(self, mark_aborted) -> None:
-        """Settle the tail: unacked decisions, in-doubt and orphan legs."""
-        for _ in range(2 * (len(self.nodes) + 2)):
-            if self.replication is not None:
-                self.replication.boundary(mark_aborted)
-            self._revive_down(mark_aborted)
-            self.coordinator.flush_unacked()
-            dirty = False
-            for node in self.nodes:
-                if node.name in self.bus.down():
-                    dirty = True
-                    continue
-                in_doubt = node.in_doubt()
-                if in_doubt:
-                    dirty = True
-                    self._terminate(node, in_doubt, mark_aborted)
-                for gtxn in node.unresolved():
-                    status = self.gstatus.get(gtxn)
-                    if status is None:
-                        continue
-                    dirty = True
-                    decision = "commit" if status == "COMMITTED" else "abort"
-                    reply = self.bus.rpc(
-                        self.coordinator.name,
-                        node.name,
-                        "decide",
-                        gtxn,
-                        {"decision": decision},
-                    )
-                    if reply is not None:
-                        mark_aborted(
-                            reply.payload.get("others_aborted", ())
-                        )
-            down = {
-                actor
-                for actor in self.bus.down()
-                if actor == self.coordinator.name
-                or actor in self._node_by_name
-            }
-            if not dirty and not down:
-                if not self.coordinator.volatile.unacked:
-                    return
-
 
 def run_distributed(
     adt,
@@ -776,6 +553,14 @@ def run_distributed(
     )
 
 
+#: The no-decision outcomes of an unreachable or crashed attempt: the
+#: caller retries, and a script records nothing.  Told apart by
+#: identity, since a real blocked decision may also carry an empty
+#: ``blocked_on``.
+_TRANSIENT_OP = OpDecision(executed=False, blocked_on=frozenset())
+_TRANSIENT_COMMIT = CommitDecision(committed=False, waiting_on=frozenset())
+
+
 class _FrontTxn:
     """Per-transaction 2PC bookkeeping held by the frontend."""
 
@@ -788,14 +573,13 @@ class _FrontTxn:
 
 
 class ClusterFrontend:
-    """Per-call 2PC submission over a fault-free cluster.
+    """Per-call 2PC submission: the one owner of the cluster's 2PC turns.
 
-    :meth:`Cluster.run` owns the scripted round-robin drive (and all
-    fault handling); this is the *serving* door — the
-    :class:`~repro.serve.loop.ServingLoop` begins, requests, and commits
-    transactions one call at a time, in whatever order its batching
-    produces, and the frontend keeps the coordinator bookkeeping the
-    drive loop would have kept:
+    Both drivers go through it: :meth:`Cluster.run` scripts it
+    round-robin, and the :class:`~repro.serve.loop.ServingLoop` begins,
+    requests, and commits transactions one call at a time, in whatever
+    order its batching produces.  Either way the frontend keeps the
+    coordinator bookkeeping:
 
     * participants and per-node operation sequence numbers per gtxn;
     * the coordinator's global wait graph (``note_waiting`` /
@@ -811,17 +595,16 @@ class ClusterFrontend:
       exactly as it certifies a driven one;
     * root spans and the cluster's e2e latency histogram per gtxn.
 
-    By default fault plans and crash schedules remain the drive loop's
-    domain: the frontend refuses a cluster configured with either, which
-    is what makes every RPC outcome reliably reachable here.  With
-    ``allow_faults=True`` the frontend instead *serves over* the faulty
-    cluster: an unreachable/crashed outcome becomes a transient decision
-    (not executed, not aborted — the caller retries), an incomplete
-    abort is parked in ``_unsettled`` and re-driven at tick boundaries,
-    and :meth:`tick_boundary` / :meth:`finalize` run the same
-    revive/flush/terminate machinery ``Cluster.run`` runs at its turn
-    boundaries, so at-least-once serving converges to the exact same
-    audited end state.
+    By default the frontend refuses a cluster configured with a fault
+    plan or crash schedule, which is what makes every RPC outcome
+    reliably reachable here.  With ``allow_faults=True`` (always so
+    under :meth:`Cluster.run`) it *serves over* the faulty cluster: an
+    unreachable or crashed attempt returns a transient no-decision
+    outcome (not executed, not aborted — the caller retries), an
+    incomplete abort is parked in ``_unsettled`` and re-driven at
+    boundaries, and :meth:`tick_boundary` / :meth:`finalize` run the
+    revive/flush/terminate machinery, so at-least-once serving
+    converges to an audited end state.
     """
 
     def __init__(self, cluster: Cluster, allow_faults: bool = False) -> None:
@@ -874,25 +657,21 @@ class ClusterFrontend:
         cluster = self.cluster
         state = self._txn[gtxn]
         node_name = cluster.owner[object_name]
-        try:
-            outcome = cluster.coordinator.do_operation(
-                gtxn,
-                node_name,
-                {
-                    "op_seq": state.op_counts.get(node_name, 0),
-                    "object_name": object_name,
-                    "invocation": invocation,
-                },
-                span=cluster._root_ctx.get(gtxn, _NO_CONTEXT),
-                deadline=deadline,
-            )
-        except SimCrash:
-            cluster._coordinator_crashed()
-            return self._transient_op()
+        outcome = cluster.coordinator.do_operation(
+            gtxn,
+            node_name,
+            {
+                "op_seq": state.op_counts.get(node_name, 0),
+                "object_name": object_name,
+                "invocation": invocation,
+            },
+            span=cluster._root_ctx.get(gtxn, _NO_CONTEXT),
+            deadline=deadline,
+        )
         if outcome.status == "unreachable":
             if self.allow_faults:
                 # No decision was observed; the caller retries.
-                return self._transient_op()
+                return _TRANSIENT_OP
             raise SchedulerError(
                 f"unreachable node {node_name} on a fault-free bus"
             )
@@ -942,11 +721,13 @@ class ClusterFrontend:
                 deadline=deadline,
             )
         except SimCrash:
+            # The coordinator died mid-protocol: it restarts from its
+            # decision log and the caller retries.
             cluster._coordinator_crashed()
-            return self._transient_commit()
+            return _TRANSIENT_COMMIT
         if outcome.status == "unreachable":
             if self.allow_faults:
-                return self._transient_commit()
+                return _TRANSIENT_COMMIT
             raise SchedulerError("unreachable participant on a fault-free bus")
         self._mark_aborted(outcome.others_aborted)
         if outcome.status == "committed":
@@ -968,14 +749,6 @@ class ClusterFrontend:
         return others
 
     # -- settlement ----------------------------------------------------
-
-    def _transient_op(self) -> OpDecision:
-        """A no-decision operation outcome: not executed, retry later."""
-        return OpDecision(executed=False, blocked_on=frozenset())
-
-    def _transient_commit(self) -> CommitDecision:
-        """A no-decision commit outcome: still waiting, retry later."""
-        return CommitDecision(committed=False, waiting_on=frozenset())
 
     def _finish_abort(self, gtxn: int, reason: str) -> tuple:
         """Take down every leg of ``gtxn`` and settle it; returns cascades."""
@@ -1061,8 +834,17 @@ class ClusterFrontend:
                 del self._unsettled[gtxn]
                 self._mark_aborted(others)
 
+    def _boundary(self) -> None:
+        """Boundary work: replication, revive, flush, re-drive aborts."""
+        cluster = self.cluster
+        if cluster.replication is not None:
+            cluster.replication.boundary(self._mark_aborted)
+        cluster._revive_down(self._mark_aborted)
+        cluster.coordinator.flush_unacked()
+        self._retry_unsettled()
+
     def tick_boundary(self) -> None:
-        """The served analogue of ``Cluster.run``'s turn boundary.
+        """One serving tick's boundary: the boundary work, then a crash.
 
         Revives crashed endpoints (nodes recover from their logs and run
         the termination protocol), flushes unacknowledged decisions,
@@ -1070,43 +852,66 @@ class ClusterFrontend:
         point.  A no-op on a fault-free cluster: nothing is down,
         nothing is unacked, the plan draws nothing.
         """
-        cluster = self.cluster
-        if cluster.replication is not None:
-            cluster.replication.boundary(self._mark_aborted)
-        cluster._revive_down(self._mark_aborted)
-        try:
-            cluster.coordinator.flush_unacked()
-        except SimCrash:
-            cluster._coordinator_crashed()
-        self._retry_unsettled()
-        plan = cluster.plan
-        if plan and plan.crash():
-            if cluster.tracer:
-                cluster.tracer.emit(
-                    FaultInjected(time=cluster.bus.now, kind="crash")
-                )
-            cluster._induce_crash(next(cluster._victims))
+        self._boundary()
+        self.cluster._draw_crash()
 
     def finalize(self) -> None:
-        """Settle the tail after serving ends (crash-free boundaries)."""
+        """Settle the tail after the run ends (crash-free boundaries).
+
+        Two bounded drains of boundary rounds, each ending once nothing
+        is down or unacked.  The first also waits for every incomplete
+        abort to land; the second sweeps the nodes each round until the
+        sweep finds nothing — in-doubt legs run the termination
+        protocol, and a leg still active under a settled gtxn is sent
+        that gtxn's decision.
+        """
+        cluster = self.cluster
         # Suspend the crash plan: the run is over, the tail must drain.
-        plan, self.cluster.plan = self.cluster.plan, None
-        schedule, self.cluster.crash_schedule = (
-            self.cluster.crash_schedule, None,
-        )
+        plan, cluster.plan = cluster.plan, None
+        schedule, cluster.crash_schedule = cluster.crash_schedule, None
         try:
-            for _ in range(2 * (len(self.cluster.nodes) + 2)):
-                self.tick_boundary()
-                down = {
-                    actor
-                    for actor in self.cluster.bus.down()
-                    if actor == self.cluster.coordinator.name
-                    or actor in self.cluster._node_by_name
-                }
-                if not self._unsettled and not down:
-                    if not self.cluster.coordinator.volatile.unacked:
+            for pending in (
+                lambda: bool(self._unsettled), self._decision_sweep
+            ):
+                for _ in range(2 * (len(cluster.nodes) + 2)):
+                    self._boundary()
+                    if not (
+                        pending()
+                        or cluster._down_endpoints()
+                        or cluster.coordinator.volatile.unacked
+                    ):
                         break
-            self.cluster._finalize(self._mark_aborted)
         finally:
-            self.cluster.plan = plan
-            self.cluster.crash_schedule = schedule
+            cluster.plan = plan
+            cluster.crash_schedule = schedule
+
+    def _decision_sweep(self) -> bool:
+        """Resolve in-doubt and orphan legs once; True if any were found."""
+        cluster = self.cluster
+        dirty = False
+        for node in cluster.nodes:
+            if node.name in cluster.bus.down():
+                dirty = True
+                continue
+            in_doubt = node.in_doubt()
+            if in_doubt:
+                dirty = True
+                cluster._terminate(node, in_doubt, self._mark_aborted)
+            for gtxn in node.unresolved():
+                status = cluster.gstatus.get(gtxn)
+                if status is None:
+                    continue
+                dirty = True
+                decision = "commit" if status == "COMMITTED" else "abort"
+                reply = cluster.bus.rpc(
+                    cluster.coordinator.name,
+                    node.name,
+                    "decide",
+                    gtxn,
+                    {"decision": decision},
+                )
+                if reply is not None:
+                    self._mark_aborted(
+                        reply.payload.get("others_aborted", ())
+                    )
+        return dirty

@@ -27,8 +27,9 @@ mapping and the in-doubt set.
 Idempotency: operation requests carry a per-node ``op_seq`` and are
 deduplicated against the recovered transaction's executed-record count,
 so a retried (or duplicated, or replayed-after-crash) request never
-double-applies; PREPARE re-votes from the prepared cache; COMMIT/ABORT
-on an already-resolved transaction acks without touching the scheduler.
+double-applies; PREPARE re-votes from the prepared cache (``no`` once a
+presumed abort was applied to the leg); COMMIT/ABORT on an
+already-resolved transaction acks without touching the scheduler.
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ class ParticipantNode:
                 self.name, message.src, "ping-reply", message.gtxn,
                 {"pong": True}, request_id=message.request_id,
             )
+            return
+        if message.kind == "query-reply":
+            # A late or duplicated answer to a termination query whose
+            # RPC already returned; nothing waits for it any more.
+            self.stats.stale_replies += 1
             return
         if message.kind == "replicate-ack":
             # Watermark advance from a backup; fire-and-forget.
@@ -302,7 +308,11 @@ class ParticipantNode:
         entry = self.prepared.get(gtxn)
         if entry is not None:
             # Idempotent re-vote from the durable prepared cache (no
-            # span: duplicated PREPAREs do no fresh work).
+            # span: duplicated PREPAREs do no fresh work).  A leg the
+            # termination protocol already rolled back under presumed
+            # abort must never turn that into a yes.
+            if entry["decided"] == "abort":
+                return self._vote(gtxn, "no")
             return self._vote(
                 gtxn, "yes", ad=tuple(entry["ad"]), cd=tuple(entry["cd"])
             )
