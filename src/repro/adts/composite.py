@@ -68,7 +68,9 @@ class DelegatedOp(OperationSpec):
             raise SpecError(f"component {self.component!r} is missing")
         before = view.observe_content(vid)
         inner_graph: ObjectGraph = view.graph.vertex(vid).value
-        inner_view = InstrumentedGraph(inner_graph, attribution=view.attribution)
+        inner_view = InstrumentedGraph(
+            inner_graph, attribution=view.attribution, journal=view.journal
+        )
         returned = self.inner.execute(inner_view, *args)
         after = view.graph.content(vid)
         if after != before:

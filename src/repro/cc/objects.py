@@ -1,22 +1,25 @@
 """Shared objects: live state, operation execution, replay recovery.
 
-A :class:`SharedObject` wraps one ADT instance.  Its live state is an
-object graph advanced by executed operations: an operation whose
-admission preview ran on the current graph adopts the graph that preview
-produced, any other runs in place.  In parallel it keeps an *operation
-log* — the global execution order of (transaction, invocation) pairs —
+A :class:`SharedObject` wraps one ADT instance.  Its live state is one
+object graph that every operation runs on in place, under an
+:class:`~repro.graph.instrument.UndoJournal`.  An admission check may
+*stage* a run (:meth:`SharedObject.preview_with_trace`): executing that
+same invocation next keeps it, and anything else undoes it first.  In
+parallel the object keeps an *operation log* — the global execution order
+of (transaction, invocation) pairs, each with the journal of its run —
 which is the basis of recovery:
 
-When a transaction aborts, its operations are removed from the log and the
-remaining operations are **replayed from the recovery baseline** (footnote
-1 of the paper: "p's changes have to be undone and possibly q's, and the
-changes of q must be reapplied").  The baseline starts as the
-registration state; :meth:`SharedObject.forget` folds the longest log
-prefix of resolved transactions into it, so a scheduler that forgets
-after every resolution replays only the active window, never the whole
-history.  A fold of the whole log keeps the live graph as a pending
-baseline and reads its abstract state only when something asks.  The
-registration state itself is kept apart
+When a transaction aborts, the log is undone in place back to that
+transaction's first entry and the later surviving operations are
+**replayed** (footnote 1 of the paper: "p's changes have to be undone
+and possibly q's, and the changes of q must be reapplied").  The recovery baseline, the state before the
+first logged entry, starts as the registration state;
+:meth:`SharedObject.forget` folds the longest log prefix of resolved
+transactions into it by dropping their journals, so a scheduler that
+forgets after every resolution replays only the active window, never the
+whole history.  The baseline's abstract state is read only when
+something asks, by undoing the log's journals, reading the graph and
+redoing them.  The registration state itself is kept apart
 (:attr:`SharedObject.initial_state`): serial-replay checks start there.
 
 Replay also *re-verifies* the return values of the surviving active
@@ -30,11 +33,16 @@ property checked by the scheduler-soundness experiment (X5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cc.transaction import TxnId
-from repro.graph.instrument import EdgeAttribution, InstrumentedGraph, LocalityTrace
+from repro.graph.instrument import (
+    EdgeAttribution,
+    InstrumentedGraph,
+    LocalityTrace,
+    UndoJournal,
+)
 from repro.graph.object_graph import ObjectGraph
 from repro.spec.adt import ADTSpec, AbstractState
 from repro.spec.operation import Invocation
@@ -51,6 +59,8 @@ class AppliedOperation:
     invocation: Invocation
     returned: ReturnValue
     trace: LocalityTrace
+    #: The changes this entry's run made to the live graph.
+    journal: UndoJournal = field(repr=False, compare=False)
 
 
 class SharedObject:
@@ -79,16 +89,14 @@ class SharedObject:
         self._initial_state = (
             adt.initial_state() if initial_state is None else initial_state
         )
-        self._baseline = self._initial_state
-        #: A graph whose abstract state is the baseline, left by a
-        #: whole-log :meth:`forget` and read on first use; it is never
-        #: mutated while pending.
-        self._pending_baseline: ObjectGraph | None = None
+        #: The baseline's abstract state, or ``None`` after a fold until
+        #: :attr:`baseline` reads it.
+        self._baseline: AbstractState | None = self._initial_state
         self._graph: ObjectGraph = adt.build_graph(self._initial_state)
         self._log: list[AppliedOperation] = []
-        #: The last preview, ``(invocation, source graph, produced graph,
-        #: returned, trace)``, for :meth:`execute` to adopt.
-        self._preview: tuple | None = None
+        #: The staged run, ``(invocation, returned, trace, journal)``,
+        #: kept for :meth:`execute` of that invocation object.
+        self._staged: tuple | None = None
 
     # ------------------------------------------------------------------
     # State access
@@ -97,6 +105,7 @@ class SharedObject:
     @property
     def graph(self) -> ObjectGraph:
         """The live object graph (used to evaluate reference predicates)."""
+        self.unstage()
         return self._graph
 
     @property
@@ -114,14 +123,26 @@ class SharedObject:
         """The recovery baseline: the state the operation log replays from.
 
         Equal to :attr:`initial_state` until :meth:`forget` folds a
-        resolved log prefix into it.  Read straight from the graph a
-        whole-log fold left pending, never through an execution memo.
+        resolved log prefix into it.  After a fold it is read on first
+        use, off the live graph with the log (and a staged run) undone,
+        and never through an execution memo.
         """
-        self._settle_baseline()
+        if self._baseline is None:
+            staged, log = self._staged, self._log
+            if staged is not None:
+                staged[3].undo()
+            for entry in reversed(log):
+                entry.journal.undo()
+            self._baseline = self.adt.abstract_state(self._graph)
+            for entry in log:
+                entry.journal.redo()
+            if staged is not None:
+                staged[3].redo()
         return self._baseline
 
     def state(self) -> AbstractState:
         """The current abstract state."""
+        self.unstage()
         return self.adt.abstract_state(self._graph)
 
     def log(self) -> list[AppliedOperation]:
@@ -143,60 +164,55 @@ class SharedObject:
     def execute(self, txn: TxnId, invocation: Invocation) -> AppliedOperation:
         """Execute an invocation on the live state and log it.
 
-        When ``invocation`` is the very object last previewed and the
-        live graph is still the preview's source, the preview's graph
-        becomes the live graph and its return value and trace are logged:
-        the clone is id-preserving, so they are exactly what a second run
-        would produce.  The replaced graph is never mutated again.
-        Otherwise the invocation runs in place, after reading a pending
-        baseline off the graph it is about to change.
+        When ``invocation`` is the very object whose run is staged, that
+        run is kept and logged as it is.  Otherwise any staged run is
+        undone and the invocation runs in place.
         """
-        preview, self._preview = self._preview, None
-        if (
-            preview is not None
-            and preview[0] is invocation
-            and preview[1] is self._graph
-        ):
-            _, _, self._graph, returned, trace = preview
+        staged = self._staged
+        if staged is not None and staged[0] is invocation:
+            self._staged = None
+            _, returned, trace, journal = staged
         else:
-            if self._pending_baseline is self._graph:
-                self._settle_baseline()
-            returned, trace = self._run(self._graph, invocation)
-        applied = AppliedOperation(
-            txn=txn, invocation=invocation, returned=returned, trace=trace
-        )
+            self.unstage()
+            returned, trace, journal = self._run(self._graph, invocation)
+        applied = AppliedOperation(txn, invocation, returned, trace, journal)
         self._log.append(applied)
         return applied
 
     def preview(self, invocation: Invocation) -> ReturnValue:
-        """Execute an invocation against a copy of the state.
+        """What ``invocation`` would return now, leaving the state as it is.
 
-        The live state is left as it is; see :meth:`preview_with_trace`,
-        whose clone a following :meth:`execute` may adopt.
+        Stages the run, then undoes it.
         """
         returned, _ = self.preview_with_trace(invocation)
+        self.unstage()
         return returned
 
     def preview_with_trace(
         self, invocation: Invocation
     ) -> tuple[ReturnValue, LocalityTrace]:
-        """Preview an invocation on an id-preserving clone of the live graph.
+        """Stage a run of ``invocation`` on the live graph.
 
-        The returned locality trace uses the *live* graph's vertex ids
-        (the clone shares them and would allocate the same fresh ids), so
-        it can be intersected with traces already recorded on the object —
-        the basis of the scheduler's runtime conflict certification.
+        The locality trace uses the live graph's vertex ids, so it can be
+        intersected with traces already recorded on the object — the
+        basis of the scheduler's runtime conflict certification.
 
-        The clone and the live graph it was taken from are kept in one
-        slot: if the same invocation object is executed next,
-        :meth:`execute` adopts the clone instead of running the operation again.  Every
-        :meth:`execute` and :meth:`remove_transactions` clears the slot.
+        If the same invocation object is executed next, :meth:`execute`
+        keeps the staged run instead of running the operation again.
+        Any other run, a rollback, and reading :meth:`state` or
+        :attr:`graph` undo it first; :meth:`unstage` undoes it outright.
         """
-        source = self._graph
-        graph = source.clone()
-        returned, trace = self._run(graph, invocation)
-        self._preview = (invocation, source, graph, returned, trace)
+        self.unstage()
+        returned, trace, journal = self._run(self._graph, invocation)
+        self._staged = (invocation, returned, trace, journal)
         return returned, trace
+
+    def unstage(self) -> None:
+        """Undo the staged run, if there is one."""
+        staged = self._staged
+        if staged is not None:
+            self._staged = None
+            staged[3].undo()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -205,6 +221,9 @@ class SharedObject:
     def remove_transactions(self, txns: set[TxnId]) -> set[TxnId]:
         """Erase the given transactions' operations and replay the rest.
 
+        The log is undone in place back to the first erased entry, and
+        every later survivor runs again under a fresh journal.
+
         Returns the set of *surviving* transactions whose replayed return
         values differ from the originally observed ones — the transactions
         whose information was invalidated by the abort.  Under a sound
@@ -212,13 +231,20 @@ class SharedObject:
         cascaded every AD-dependent); it is surfaced rather than assumed so
         the soundness experiments can detect violations.
         """
-        self._preview = None
-        survivors = [entry for entry in self._log if entry.txn not in txns]
-        self._graph = self.adt.build_graph(self.baseline)
+        self.unstage()
+        log = self._log
+        first = next(
+            (index for index, entry in enumerate(log) if entry.txn in txns),
+            len(log),
+        )
+        for entry in reversed(log[first:]):
+            entry.journal.undo()
         invalidated: set[TxnId] = set()
-        replayed: list[AppliedOperation] = []
-        for entry in survivors:
-            returned, trace = self._run(self._graph, entry.invocation)
+        replayed = log[:first]
+        for entry in log[first:]:
+            if entry.txn in txns:
+                continue
+            returned, trace, journal = self._run(self._graph, entry.invocation)
             if returned != entry.returned:
                 invalidated.add(entry.txn)
             replayed.append(
@@ -227,6 +253,7 @@ class SharedObject:
                     invocation=entry.invocation,
                     returned=entry.returned,
                     trace=trace,
+                    journal=journal,
                 )
             )
         self._log = replayed
@@ -239,48 +266,36 @@ class SharedObject:
         aborted entries have already left the log, so in practice it means
         committed.  Folding stops at the first entry of a live transaction:
         a resolved entry logged after it stays, because undoing the live
-        transaction must replay it.  A fully resolved log folds to the
-        live state, which is its replay: the live graph becomes the
-        pending baseline, read by :attr:`baseline` on first use.  A
-        shorter prefix is replayed from the old baseline on a scratch
-        graph.  Returns the number of entries folded.
-
-        Executions are pure functions of the abstract state, so replays
-        from the folded baseline reproduce every return value and state a
-        replay from the registration state would; the live graph is left
-        alone.  The prefix replay deliberately bypasses every execution
-        memo: the baseline is authoritative state, and a poisoned cache
-        entry (a fault campaign's ``cache_poison``) must not leak into it.
+        transaction must replay it.  The folded entries leave the log with
+        their journals, which moves the baseline to the state after them;
+        :attr:`baseline` reads it on first use.  Nothing runs and the live
+        graph is left alone.  Returns the number of entries folded.
         """
         log = self._log
         folded = 0
         while folded < len(log) and resolved(log[folded].txn):
             folded += 1
-        if not folded:
-            return 0
-        if folded == len(log):
-            self._pending_baseline = self._graph
-        else:
-            graph = self.adt.build_graph(self.baseline)
-            for entry in log[:folded]:
-                self._run(graph, entry.invocation)
-            self._baseline = self.adt.abstract_state(graph)
-        del log[:folded]
+        if folded:
+            del log[:folded]
+            self._baseline = None
         return folded
-
-    def _settle_baseline(self) -> None:
-        """Read a pending baseline off the graph a whole-log fold left."""
-        if self._pending_baseline is not None:
-            self._baseline = self.adt.abstract_state(self._pending_baseline)
-            self._pending_baseline = None
 
     def _run(
         self, graph: ObjectGraph, invocation: Invocation
-    ) -> tuple[ReturnValue, LocalityTrace]:
-        """Execute ``invocation`` on ``graph`` in place, instrumented."""
-        view = InstrumentedGraph(graph, attribution=self.attribution)
+    ) -> tuple[ReturnValue, LocalityTrace, UndoJournal]:
+        """Execute ``invocation`` on ``graph`` in place, instrumented and journaled.
+
+        A run that raises is undone before the exception propagates.
+        """
+        journal = UndoJournal()
+        view = InstrumentedGraph(graph, attribution=self.attribution, journal=journal)
         operation = self.adt.operation(invocation.operation)
-        return operation.execute(view, *invocation.args), view.trace
+        try:
+            returned = operation.execute(view, *invocation.args)
+        except BaseException:
+            journal.undo()
+            raise
+        return returned, view.trace, journal
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SharedObject {self.name} state={self.state()!r}>"

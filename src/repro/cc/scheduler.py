@@ -21,8 +21,9 @@ implements two classic disciplines over it:
 Conditional entries are resolved with exactly the dynamic information the
 paper appeals to: the live object graph (for reference predicates such as
 ``f ≠ b``), the earlier operation's recorded return value, and — where the
-entry is conditional on the requester's own outcome — a deterministic
-preview of that outcome against the current state.
+entry is conditional on the requester's own outcome — that outcome, from
+one run of the operation on the live graph that is kept if granted and
+undone otherwise.
 
 State-dependent conditions are validated at derivation time on *adjacent*
 executions, which does not compose across intervening operations (see
@@ -47,15 +48,18 @@ O(active × log × replay) as in the seed (kept verbatim in
   without that txn" states advanced incrementally on every grant and
   epoch-invalidated on abort rollback — instead of replaying the log per
   pair check;
-* the pre-state object graph backing condition contexts is built at most
-  once per request, by the first condition context that needs it, and
-  shared across every pair iteration;
+* the pre-state is read only when some active peer has an operation
+  outside the requested operation's unconditional-ND row, and the object
+  graph backing condition contexts is built at most once per request, by
+  the first condition context that needs it, and shared across every
+  pair iteration;
 * under the blocking policy, the granted operation executes once: the
-  object adopts the graph its admission preview produced
-  (:meth:`~repro.cc.objects.SharedObject.execute`), and the preview's
-  pair verdicts are memoized and reused (nothing can run in between —
-  admission and grant happen in one synchronous call), so each pair is
-  decided once rather than twice;
+  admission run is staged on the live graph under an undo journal and
+  kept by the grant (:meth:`~repro.cc.objects.SharedObject.execute`), or
+  undone when the request blocks; the admission's pair verdicts are
+  memoized and reused (nothing can run in between — admission and grant
+  happen in one synchronous call), so each pair is decided once rather
+  than twice;
 * the active transactions are kept as a set, updated where a
   transaction begins, commits or aborts, so
   :meth:`~TableDrivenScheduler.active_transactions` costs O(active), not
@@ -108,7 +112,6 @@ from repro.core.dependency import Dependency
 from repro.core.table import CompatibilityTable
 from repro.errors import DependencyCycleError, SchedulerError
 from repro.graph.instrument import LocalityTrace
-from repro.graph.object_graph import ObjectGraph
 from repro.obs.events import (
     CascadeAborted,
     CommitWaited,
@@ -267,32 +270,24 @@ class _PreGraph:
     the same pre-state; the seed rebuilt the graph per pair.  The holder
     materialises it on first use and counts each subsequent reuse.
 
-    A blocking grant hands over the pre-grant live graph itself: the
-    grant adopts its admission preview's graph, so the pre-grant graph is
-    never mutated again, and its abstract state is read only when a
-    condition context first asks.  Optimistic and queued grants execute
-    in place, so they hand over the pre-state, read before the grant.
+    The requested operation runs in place, so the pre-state is read
+    before that run, and only when a condition context can ask for it
+    (see :meth:`TableDrivenScheduler._pre_graph`); otherwise it is
+    ``None`` and :meth:`get` is never called.
     """
 
-    __slots__ = ("adt", "source", "pre_state", "stats", "graph")
+    __slots__ = ("adt", "pre_state", "stats", "graph")
 
     def __init__(
-        self,
-        adt: ADTSpec,
-        stats,
-        source: ObjectGraph | None = None,
-        pre_state: AbstractState | None = None,
+        self, adt: ADTSpec, stats, pre_state: AbstractState | None
     ) -> None:
         self.adt = adt
-        self.source = source
         self.pre_state = pre_state
         self.stats = stats
         self.graph = None
 
     def get(self):
         if self.graph is None:
-            if self.source is not None:
-                self.pre_state = self.adt.abstract_state(self.source)
             self.graph = self.adt.build_graph(self.pre_state)
         else:
             self.stats.context_reuses += 1
@@ -560,6 +555,7 @@ class TableDrivenScheduler:
                     blockers = self._queued_conflicts(txn, shared)
                     preview = None
                 if blockers:
+                    shared.unstage()
                     self.stats.operations_blocked += 1
                     conflict.note_block()
                     if txn not in self._wait_for:
@@ -592,15 +588,18 @@ class TableDrivenScheduler:
                 self._wait_for.pop(txn, None)
             break
 
-        # A blocking grant adopts its admission preview (nothing has
-        # touched the object since), so the pre-grant graph the preview
-        # holds is never mutated; every other grant runs in place and
-        # reads its pre-state first.
-        pre_graph = (
-            preview.pre_graph
-            if preview is not None
-            else _PreGraph(shared.adt, self.stats, pre_state=shared.state())
-        )
+        # A blocking grant keeps its staged admission run (nothing has
+        # touched the object since) and the pre-state read before it;
+        # every other grant reads what it needs before running in place.
+        if preview is not None:
+            pre_graph = preview.pre_graph
+        else:
+            pre_graph = self._pre_graph(
+                txn,
+                registered,
+                registered.matrix.op_id[invocation.operation],
+                self._active_peers(registered, skip=None),
+            )
         applied = shared.execute(txn, invocation)
         recorded = self._record_dependencies(
             txn, registered, applied, pre_graph, preview
@@ -1208,15 +1207,18 @@ class TableDrivenScheduler:
     ) -> tuple[set[TxnId], _PreviewVerdicts]:
         """Active transactions whose operations would form an AD with ours.
 
-        Also returns every pair verdict computed along the way, keyed by
-        transaction, for the grant path to reuse.
+        Stages one run of ``invocation`` on the live graph
+        (:meth:`~repro.cc.objects.SharedObject.preview_with_trace`): the
+        grant keeps it, and a blocked request undoes it.  Also returns
+        every pair verdict computed along the way, keyed by transaction,
+        for the grant path to reuse.
         """
         shared, matrix = registered.shared, registered.matrix
         nd_fast_before = self.stats.nd_fast_path_hits
-        pre_graph = _PreGraph(shared.adt, self.stats, source=shared.graph)
-        preview_returned, preview_trace = shared.preview_with_trace(invocation)
         by_txn = self._active_peers(registered, skip=None)
         inv_id = matrix.op_id[invocation.operation]
+        pre_graph = self._pre_graph(txn, registered, inv_id, by_txn)
+        preview_returned, preview_trace = shared.preview_with_trace(invocation)
         others = sorted(t for t in by_txn if t != txn)
         blockers: set[TxnId] = set()
         verdicts: dict[TxnId, tuple[Dependency, _DepEvidence, int]] = {}
@@ -1252,6 +1254,27 @@ class TableDrivenScheduler:
             self.stats.nd_fast_path_hits - nd_fast_before
         )
         return blockers, _PreviewVerdicts(verdicts=verdicts, pre_graph=pre_graph)
+
+    def _pre_graph(
+        self,
+        txn: TxnId,
+        registered: _RegisteredObject,
+        inv_id: int,
+        by_txn: dict[TxnId, _TxnEntries],
+    ) -> _PreGraph:
+        """The request's pre-state holder, read now if a condition can ask.
+
+        The requested operation runs on the live graph, so its pre-state
+        is read before that run or not at all.  :meth:`_pair_dependency`
+        builds a condition context only for a peer whose operations are
+        not all in the requested operation's unconditional-ND row.
+        """
+        shared, all_nd = registered.shared, registered.matrix.all_nd
+        needed = any(
+            other != txn and not all_nd(inv_id, peer.mask)
+            for other, peer in by_txn.items()
+        )
+        return _PreGraph(shared.adt, self.stats, shared.state() if needed else None)
 
     def _queued_conflicts(self, txn: TxnId, shared: SharedObject) -> set[TxnId]:
         """Every other *active* transaction holding operations on the object.

@@ -19,6 +19,11 @@ hand — it falls out of executing the operation, which is the behaviour the
 paper anticipates ("finding the actual locality of an operation may require
 the execution of the operation", Section 4.3).
 
+An instrumented run may also keep an :class:`UndoJournal` of its graph
+changes, so that a trial run on a live graph can be taken back exactly —
+the runtime certification's admission run, in place of a copy of the
+graph.
+
 Attribution of ordering-edge changes
 ------------------------------------
 
@@ -38,6 +43,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.graph.edges import OrderingEdge
 from repro.graph.object_graph import ObjectGraph
 from repro.graph.vertex import VertexId
 
@@ -45,6 +51,7 @@ __all__ = [
     "EdgeAttribution",
     "LocalityTrace",
     "InstrumentedGraph",
+    "UndoJournal",
     "discard_trace",
 ]
 
@@ -169,6 +176,95 @@ def discard_trace() -> LocalityTrace:
     )
 
 
+class UndoJournal(list):
+    """The graph changes of instrumented runs, in order, undoable and redoable.
+
+    Each journaled primitive of :class:`InstrumentedGraph` appends one
+    step ``(undo, redo, graph-or-vertex, *operands)``.  A step restores
+    exactly what its primitive changed: the vertex table's insertion
+    order, the ordering edges a deletion dropped, the references it left
+    dangling, and the id allocator — so an undone run leaves the graph
+    structurally identical, and running the same operation again
+    allocates the same vertex ids.  The steps reach into the graph's
+    private tables: they are its inverse, not a client of its API.
+
+    Several journals on one graph form a stack: undo them newest first,
+    redo them oldest first, and make no unjournaled change in between.
+    """
+
+    __slots__ = ()
+
+    def undo(self) -> None:
+        """Take back every step, newest first."""
+        for step in reversed(self):
+            step[0](step)
+
+    def redo(self) -> None:
+        """Reapply every step, oldest first, after :meth:`undo`."""
+        for step in self:
+            step[1](step)
+
+
+def _undo_insert(step: tuple) -> None:
+    _, _, graph, vid, _vertex = step
+    del graph._vertices[vid]
+    graph._allocator._next = vid
+
+
+def _redo_insert(step: tuple) -> None:
+    _, _, graph, vid, vertex = step
+    graph._vertices[vid] = vertex
+    graph._allocator._next = vid + 1
+
+
+def _undo_delete(step: tuple) -> None:
+    _, _, graph, vid, vertex, position, ordering, _after, dangled = step
+    vertices = graph._vertices
+    if position == len(vertices):
+        vertices[vid] = vertex
+    else:
+        items = list(vertices.items())
+        items.insert(position, (vid, vertex))
+        vertices.clear()
+        vertices.update(items)
+    # ``remove_vertex`` replaced the edge set, so the old one is intact.
+    graph._ordering = ordering
+    for name in dangled:
+        graph._references[name] = vid
+
+
+def _redo_delete(step: tuple) -> None:
+    _, _, graph, vid, _vertex, _position, _ordering, after, dangled = step
+    del graph._vertices[vid]
+    graph._ordering = after
+    for name in dangled:
+        graph._references[name] = None
+
+
+def _add_edge(step: tuple) -> None:
+    step[2]._ordering.add(step[3])
+
+
+def _discard_edge(step: tuple) -> None:
+    step[2]._ordering.discard(step[3])
+
+
+def _undo_content(step: tuple) -> None:
+    step[2].value = step[3]
+
+
+def _redo_content(step: tuple) -> None:
+    step[2].value = step[4]
+
+
+def _undo_retarget(step: tuple) -> None:
+    step[2]._references[step[3]] = step[4]
+
+
+def _redo_retarget(step: tuple) -> None:
+    step[2]._references[step[3]] = step[5]
+
+
 class InstrumentedGraph:
     """Object-graph facade that records every access in a locality trace.
 
@@ -189,6 +285,10 @@ class InstrumentedGraph:
     :meth:`retarget`; dereferencing a non-dangling reference counts as a
     structure observation of the referenced vertex (the operation noted the
     vertex's existence through the composed-of edge).
+
+    Given a ``journal``, every mutation also appends its inverse step to
+    it (see :class:`UndoJournal`); a view on a nested graph shares the
+    journal of the run that opened it.
     """
 
     def __init__(
@@ -196,10 +296,12 @@ class InstrumentedGraph:
         graph: ObjectGraph,
         attribution: EdgeAttribution = EdgeAttribution.BOTH,
         trace: LocalityTrace | None = None,
+        journal: UndoJournal | None = None,
     ) -> None:
         self.graph = graph
         self.attribution = attribution
         self.trace = trace if trace is not None else LocalityTrace()
+        self.journal = journal
 
     # ------------------------------------------------------------------
     # Structure modification
@@ -207,7 +309,12 @@ class InstrumentedGraph:
 
     def insert_vertex(self, value: Any = None, label: str | None = None) -> VertexId:
         """Insert a vertex; enters both ``L^sm`` and ``L^cm`` (Defs. 15, 17)."""
-        vid = self.graph.add_vertex(value=value, label=label)
+        graph = self.graph
+        vid = graph.add_vertex(value=value, label=label)
+        if self.journal is not None:
+            self.journal.append(
+                (_undo_insert, _redo_insert, graph, vid, graph._vertices[vid])
+            )
         self.trace.structure_modified.add(vid)
         self.trace.content_modified.add(vid)
         return vid
@@ -225,10 +332,34 @@ class InstrumentedGraph:
         ``BOTH`` attribution their surviving endpoints also enter ``L^sm``
         because edges "from which" them changed.
         """
+        graph = self.graph
         if self.attribution is EdgeAttribution.BOTH:
-            for other in self.graph.successors(vid) | self.graph.predecessors(vid):
+            for other in graph.successors(vid) | graph.predecessors(vid):
                 self.trace.structure_modified.add(other)
-        vertex = self.graph.remove_vertex(vid)
+        journal = self.journal
+        if journal is None:
+            vertex = graph.remove_vertex(vid)
+        else:
+            graph.vertex(vid)  # an unknown id raises before anything is noted
+            position = list(graph._vertices).index(vid)
+            ordering = graph._ordering
+            dangled = tuple(
+                name for name, target in graph._references.items() if target == vid
+            )
+            vertex = graph.remove_vertex(vid)
+            journal.append(
+                (
+                    _undo_delete,
+                    _redo_delete,
+                    graph,
+                    vid,
+                    vertex,
+                    position,
+                    ordering,
+                    graph._ordering,
+                    dangled,
+                )
+            )
         self.trace.structure_modified.add(vid)
         self.trace.content_modified.add(vid)
         if observe_value:
@@ -237,12 +368,21 @@ class InstrumentedGraph:
 
     def add_ordering_edge(self, source: VertexId, target: VertexId) -> None:
         """Add an ordering edge; endpoints enter ``L^sm`` per attribution."""
-        self.graph.add_ordering_edge(source, target)
+        graph = self.graph
+        before = len(graph._ordering)
+        edge = graph.add_ordering_edge(source, target)
+        if self.journal is not None and len(graph._ordering) != before:
+            self.journal.append((_discard_edge, _add_edge, graph, edge))
         self._attribute_edge_change(source, target)
 
     def remove_ordering_edge(self, source: VertexId, target: VertexId) -> None:
         """Remove an ordering edge; endpoints enter ``L^sm`` per attribution."""
-        self.graph.remove_ordering_edge(source, target)
+        graph = self.graph
+        before = len(graph._ordering)
+        graph.remove_ordering_edge(source, target)
+        if self.journal is not None and len(graph._ordering) != before:
+            edge = OrderingEdge(source=source, target=target)
+            self.journal.append((_add_edge, _discard_edge, graph, edge))
         self._attribute_edge_change(source, target)
 
     # ------------------------------------------------------------------
@@ -251,7 +391,12 @@ class InstrumentedGraph:
 
     def modify_content(self, vid: VertexId, value: Any) -> None:
         """Change a vertex's content; the vertex enters ``L^cm`` (Def. 17)."""
-        self.graph.set_content(vid, value)
+        vertex = self.graph.vertex(vid)
+        if self.journal is not None:
+            self.journal.append(
+                (_undo_content, _redo_content, vertex, vertex.value, value)
+            )
+        vertex.value = value
         self.trace.content_modified.add(vid)
 
     def observe_content(self, vid: VertexId) -> Any:
@@ -328,7 +473,13 @@ class InstrumentedGraph:
         located them.
         """
         self.trace.references_written.add(name)
-        self.graph.retarget_reference(name, target)
+        graph = self.graph
+        previous = graph.reference(name)
+        graph.retarget_reference(name, target)
+        if self.journal is not None:
+            self.journal.append(
+                (_undo_retarget, _redo_retarget, graph, name, previous, target)
+            )
 
     # ------------------------------------------------------------------
     # Internals

@@ -121,23 +121,6 @@ class ObjectGraph:
         """The set ``E_com``: one composed-of edge per component (Def. 8)."""
         return {ComposedOfEdge(target=vid) for vid in self._vertices}
 
-    def clone(self) -> "ObjectGraph":
-        """An independent copy preserving vertex ids and allocator state.
-
-        Used for conflict previews: an operation executed on the clone
-        reads/creates exactly the vertex ids it would on the original, so
-        its locality trace is directly comparable with traces recorded on
-        the original graph.
-        """
-        copy = ObjectGraph(self.name)
-        copy._allocator = self._allocator.clone()
-        for vid, vertex in self._vertices.items():
-            value = vertex.value.clone() if vertex.is_complex() else vertex.value
-            copy._vertices[vid] = Vertex(vid=vid, value=value, label=vertex.label)
-        copy._ordering = set(self._ordering)
-        copy._references = dict(self._references)
-        return copy
-
     # ------------------------------------------------------------------
     # Content (Def. 10)
     # ------------------------------------------------------------------
@@ -151,7 +134,7 @@ class ObjectGraph:
         content.
         """
         vertex = self._require(vid)
-        if vertex.is_complex():
+        if isinstance(vertex.value, ObjectGraph):
             nested: ObjectGraph = vertex.value
             return {inner: nested.content(inner) for inner in nested.vertex_ids()}
         return vertex.value
@@ -169,7 +152,7 @@ class ObjectGraph:
         """
         simple: set[tuple[int, ...]] = set()
         for vid, vertex in self._vertices.items():
-            if vertex.is_complex():
+            if isinstance(vertex.value, ObjectGraph):
                 nested: ObjectGraph = vertex.value
                 simple.update((vid, *path) for path in nested.simple_vertices())
             else:

@@ -19,6 +19,10 @@ __all__ = ["VertexId", "Vertex", "VertexIdAllocator"]
 #: across the execution of several operations on the same graph.
 VertexId = int
 
+#: :class:`~repro.graph.object_graph.ObjectGraph`, bound by the first
+#: :meth:`Vertex.is_complex` call.
+_ObjectGraph: type | None = None
+
 
 @dataclass
 class Vertex:
@@ -40,12 +44,13 @@ class Vertex:
     def is_complex(self) -> bool:
         """Return ``True`` when this vertex holds a nested object graph.
 
-        Imported lazily to avoid a circular import between ``vertex`` and
-        ``object_graph``.
+        The class is bound on first use: ``object_graph`` imports this
+        module, so it cannot be imported at the top.
         """
-        from repro.graph.object_graph import ObjectGraph
-
-        return isinstance(self.value, ObjectGraph)
+        global _ObjectGraph
+        if _ObjectGraph is None:
+            from repro.graph.object_graph import ObjectGraph as _ObjectGraph
+        return isinstance(self.value, _ObjectGraph)
 
     def display_name(self) -> str:
         """Name used by the renderers: the label if set, else ``v<id>``."""
@@ -65,7 +70,9 @@ class VertexIdAllocator:
     that vertex ids are never reused within a graph, even after deletions.
     Never reusing ids keeps locality traces unambiguous: a vertex deleted by
     one operation can never be confused with a vertex inserted by a later
-    one.
+    one.  Undoing a journaled run
+    (:class:`~repro.graph.instrument.UndoJournal`) takes its ids back with
+    its vertices, so no trace of the undone run survives to be confused.
     """
 
     _next: int = 0
@@ -75,12 +82,3 @@ class VertexIdAllocator:
         vid = self._next
         self._next += 1
         return vid
-
-    def clone(self) -> "VertexIdAllocator":
-        """A copy that will issue the same future ids.
-
-        Cloned graphs (used for conflict previews) must allocate the *same*
-        ids a real execution would, so that previewed locality traces are
-        comparable with traces recorded on the original graph.
-        """
-        return VertexIdAllocator(_next=self._next)

@@ -1,15 +1,15 @@
-"""Grant once: a blocking grant adopts its admission preview.
+"""Grant in place: a blocking grant keeps its staged admission run.
 
-A blocking grant runs the requested operation once, on the preview clone
-the admission check certified, and the object adopts that clone as its
-live graph.  The pre-grant graph is never mutated again, so the pre-state
-a condition context needs is read off it only when one asks.  A
-whole-log ``forget`` keeps the live graph as a pending baseline and reads
-it on first use.
+A blocking grant runs the requested operation once, on the live graph
+under an undo journal, and the grant keeps that run; a blocked request
+undoes it.  The pre-state a condition context needs is read before the
+run, and only when a condition can ask.  A ``forget`` drops the folded
+entries' journals; the baseline is read on first use, with the log
+undone.
 
-These tests count the operation runs on the object (``SharedObject._run``)
-and the ``adt.abstract_state`` reads, and check that adoption and the
-pending baseline never hand out a stale state.
+These tests count the operation runs on the object (``SharedObject._run``),
+the ``adt.abstract_state`` reads and the ``ObjectGraph`` constructions,
+and check that a staged run and a fold never hand out a stale state.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.adts.qstack import QStackSpec
 from repro.cc.objects import SharedObject
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.core.methodology import derive
+from repro.graph.object_graph import ObjectGraph
 from repro.spec.operation import Invocation
 
 
@@ -46,6 +47,29 @@ def count_state_reads(monkeypatch, adt) -> list:
 
     monkeypatch.setattr(adt, "abstract_state", counting)
     return graphs
+
+
+def count_graph_constructions(monkeypatch) -> list:
+    """Record every ``ObjectGraph`` constructed from now on."""
+    built = []
+    init = ObjectGraph.__init__
+
+    def counting(graph, *args, **kwargs):
+        built.append(graph)
+        init(graph, *args, **kwargs)
+
+    monkeypatch.setattr(ObjectGraph, "__init__", counting)
+    return built
+
+
+def fingerprint(graph: ObjectGraph) -> tuple:
+    """Vertex order, values, ordering edges, references and allocator."""
+    return (
+        [(vid, v.value, v.label) for vid, v in graph._vertices.items()],
+        sorted(graph.ordering_edges()),
+        sorted(graph._references.items()),
+        graph._allocator._next,
+    )
 
 
 @pytest.fixture
@@ -116,9 +140,35 @@ class TestBlockingGrantExecutesOnce:
         decision = scheduler.request(txn, "acct", balance)
 
         assert decision.executed and decision.returned.result == 15
-        # The retry previews afresh and adopts that preview.
+        # The retry previews afresh and keeps that run.
         assert len(runs) == 1 and shared.graph is runs[0]
-        assert shared.graph is not live
+        assert shared.graph is live
+
+    def test_a_blocking_grant_constructs_no_object_graph(
+        self, monkeypatch, account
+    ):
+        scheduler, _adt, shared = account
+        txn = scheduler.begin()
+        built = count_graph_constructions(monkeypatch)
+
+        decision = scheduler.request(txn, "acct", Invocation("Deposit", (5,)))
+
+        assert decision.executed and shared.state() == 15
+        assert built == []
+
+    def test_a_blocked_request_leaves_the_live_graph_unchanged(self, account):
+        scheduler, _adt, shared = account
+        peer, txn = scheduler.begin(), scheduler.begin()
+        assert scheduler.request(peer, "acct", Invocation("Deposit", (5,))).executed
+        live = shared.graph
+        before = fingerprint(live)
+
+        # Balance after an active Deposit is an AD: the request blocks.
+        assert not scheduler.request(txn, "acct", Invocation("Balance")).executed
+
+        assert shared.graph is live
+        assert fingerprint(live) == before
+        assert shared.state() == 15
 
 
 class TestLazyBaseline:
@@ -134,6 +184,20 @@ class TestLazyBaseline:
         assert len(reads) == 1
         assert shared.baseline == ("a", "b")
         assert len(reads) == 1
+
+    def test_a_partial_forget_runs_no_operation(self, monkeypatch):
+        adt = QStackSpec()
+        shared = SharedObject("qs", adt, initial_state=("a",))
+        shared.execute(0, Invocation("Push", ("b",)))
+        shared.execute(1, Invocation("Push", ("c",)))
+        runs = count_runs(monkeypatch, shared)
+        reads = count_state_reads(monkeypatch, adt)
+
+        assert shared.forget(lambda txn: txn == 0) == 1
+        assert runs == [] and reads == []
+        assert shared.baseline == ("a", "b")
+        assert runs == [] and len(reads) == 1
+        assert shared.state() == ("a", "b", "c")
 
 
 class TestAdoptionSafety:
@@ -160,7 +224,7 @@ class TestAdoptionSafety:
         pop = Invocation("Pop")
         assert shared.preview(pop).result == "b"
         assert shared.remove_transactions({0}) == set()
-        # Adopting the stale preview would hand out txn 0's 'b'.
+        # Reusing the earlier preview's run would hand out txn 0's 'b'.
         assert shared.execute(1, pop).returned.result == "a"
         assert shared.state() == ()
 
@@ -176,7 +240,7 @@ class TestAdoptionSafety:
     ):
         shared.execute(0, Invocation("Push", ("b",)))
         assert shared.forget(lambda txn: txn == 0) == 1
-        # No preview: runs in place, on the graph the fold left pending.
+        # No preview: runs in place, on top of the folded entry.
         shared.execute(1, Invocation("Push", ("c",)))
         assert shared.remove_transactions({1}) == set()
         assert shared.baseline == ("a", "b")
