@@ -487,6 +487,30 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0 if all(outcome.matches for outcome in outcomes) else 1
 
 
+def _count(text: str) -> int:
+    """An argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """An argparse ``type=`` for a per-consult fault rate in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -597,10 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", nargs="+", type=int, default=[1991],
         help="workload seeds (one cell per ADT x policy x seed)",
     )
-    chaos.add_argument("--transactions", type=int, default=6)
-    chaos.add_argument("--operations", type=int, default=3)
+    chaos.add_argument("--transactions", type=_count, default=6)
+    chaos.add_argument("--operations", type=_count, default=3)
     chaos.add_argument(
-        "--intensity", type=float, default=0.05,
+        "--intensity", type=_rate, default=0.05,
         help="fault-storm per-consult rate (default 0.05)",
     )
     chaos.add_argument(
@@ -617,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sharded clusters plus the protocol crash-point sweep",
     )
     chaos.add_argument(
-        "--shards", nargs="+", type=int, default=[1, 2], metavar="N",
+        "--shards", nargs="+", type=_count, default=[1, 2], metavar="N",
         help="shard counts of the distributed campaign (default: 1 2)",
     )
     chaos.add_argument(

@@ -106,6 +106,16 @@ class GlobalAudit:
     def passed(self) -> bool:
         return self.serializable and self.ad_cd_ok and not self.in_doubt
 
+    def to_dict(self) -> dict:
+        """The JSON-ready verdict (the witness is left out)."""
+        return {
+            "passed": self.passed,
+            "serializable": self.serializable,
+            "ad_cd_ok": self.ad_cd_ok,
+            "in_doubt": list(self.in_doubt),
+            "violations": list(self.violations),
+        }
+
 
 def audit_global(cluster, brute_force_limit: int = 6) -> GlobalAudit:
     """Stitch ``cluster``'s finished run and re-check it end to end."""

@@ -1,25 +1,39 @@
-"""Distributed chaos campaigns: message storms over a sharded matrix.
+"""Distributed chaos campaigns: message storms and replicated failover.
 
-The distributed analogue of :func:`repro.robust.chaos.run_chaos`: the
-matrix is **ADT × shard count × fault mix × seed**, and each cell runs
-one full cluster under a seeded :class:`~repro.robust.faults.FaultPlan`
-whose message-level fault points batter the bus (drops, duplicates,
-reorders, delays, partitions — plus node crashes in the ``dist`` mix),
-then audits the stitched global history with
-:func:`repro.dist.audit.audit_global`.
+Both campaigns sweep their matrix through the campaign kernel
+(:func:`repro.robust.chaos.sweep_matrix`), which builds one report cell
+per ADT × axis point and ANDs the cell verdicts into ``passed``.
 
-Everything is seeded and clock-free, so the report is **byte-stable**:
-the same matrix and mixes produce the identical JSON byte-for-byte
-(asserted by the CI ``dist-chaos-smoke`` job, which runs the campaign
-twice and compares).  Each cell embeds a SHA-256 digest of the full
-transcript repr, so even sub-field drift between two runs is loud.
+:func:`run_dist_chaos` sweeps **shard count × fault mix × seed**: each
+cell runs one full cluster under a seeded
+:class:`~repro.robust.faults.FaultPlan` whose message-level fault
+points batter the bus (drops, duplicates, reorders, delays, partitions
+— plus node crashes in the ``dist`` mix), then audits the stitched
+global history with :func:`repro.dist.audit.audit_global`.  Its
+optional protocol crash sweep is a second matrix over shard counts.
+
+:func:`run_replication_chaos` sweeps **shard count × seed** over
+replica groups; each cell runs five dependent scenarios (nominal,
+primary kill, partition-then-heal, dueling-primary fencing, replica
+storm), each with its own gates.
+
+Everything is seeded and clock-free, so the reports are
+**byte-stable**: the same matrix and mixes produce the identical JSON
+byte-for-byte (asserted by the CI ``dist-chaos-smoke`` and
+``replication-chaos-smoke`` jobs, which run each campaign twice and
+compare).  Each cell embeds a SHA-256 digest of the full transcript
+repr, so even sub-field drift between two runs is loud.
 """
 
 from __future__ import annotations
 
-from repro.cc.workload import WorkloadConfig, generate
-from repro.robust.chaos import digest, spec_dict
-from repro.robust.faults import FaultPlan, FaultSpec, RobustStats
+from repro.robust.chaos import (
+    campaign_workload,
+    digest,
+    spec_dict,
+    sweep_matrix,
+)
+from repro.robust.faults import FaultPlan, FaultSpec
 
 from repro.dist.audit import audit_global
 from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
@@ -46,6 +60,13 @@ def DEFAULT_MIXES() -> dict[str, FaultSpec | None]:
     }
 
 
+def _committed(transcript) -> list[int]:
+    """The gtxns a cluster transcript committed, in transcript order."""
+    return [
+        gtxn for gtxn, status in transcript.statuses if status == "COMMITTED"
+    ]
+
+
 def run_dist_chaos(
     adts: dict[str, tuple],
     shard_counts: tuple[int, ...] = (1, 2),
@@ -66,98 +87,31 @@ def run_dist_chaos(
     and folds its verdict in.
     """
     mixes = DEFAULT_MIXES() if mixes is None else mixes
-    cells = []
-    sweeps = []
-    passed = True
-    for adt_name in sorted(adts):
-        adt, table = adts[adt_name]
-        for shards in shard_counts:
-            if crash_sweep_enabled:
-                sweep = dist_crash_sweep(
-                    adt,
-                    table,
-                    generate(
-                        adt,
-                        "obj",
-                        WorkloadConfig(
-                            transactions=transactions,
-                            operations_per_transaction=operations,
-                            seed=seeds[0],
-                        ),
-                    ),
-                    shards=shards,
-                    policy=policy,
-                    seed=seeds[0],
-                )
-                passed = passed and sweep.passed
-                sweeps.append(
-                    {
-                        "adt": adt_name,
-                        "shards": shards,
-                        "points_reached": sweep.points_reached,
-                        "passed": sweep.passed,
-                        "failures": [
-                            {
-                                "index": f.index,
-                                "actor": f.actor,
-                                "label": f.label,
-                                "violations": list(f.audit.violations),
-                            }
-                            for f in sweep.failures()
-                        ],
-                    }
-                )
-            for mix_name in sorted(mixes):
-                spec = mixes[mix_name]
-                for seed in seeds:
-                    workload = generate(
-                        adt,
-                        "obj",
-                        WorkloadConfig(
-                            transactions=transactions,
-                            operations_per_transaction=operations,
-                            seed=seed,
-                        ),
-                    )
-                    robust_stats = RobustStats()
-                    plan = (
-                        None
-                        if spec is None
-                        else FaultPlan(seed, spec, stats=robust_stats)
-                    )
-                    cluster = Cluster(
-                        adt, table, shards=shards, policy=policy,
-                        fault_plan=plan,
-                    )
-                    transcript = cluster.run(workload, seed=seed)
-                    audit = audit_global(cluster)
-                    passed = passed and audit.passed
-                    cells.append(
-                        {
-                            "adt": adt_name,
-                            "shards": shards,
-                            "mix": mix_name,
-                            "seed": seed,
-                            "digest": digest(transcript),
-                            "committed": [
-                                gtxn
-                                for gtxn, status in transcript.statuses
-                                if status == "COMMITTED"
-                            ],
-                            "final_states": [
-                                list(pair) for pair in transcript.final_states
-                            ],
-                            "audit": {
-                                "passed": audit.passed,
-                                "serializable": audit.serializable,
-                                "ad_cd_ok": audit.ad_cd_ok,
-                                "in_doubt": list(audit.in_doubt),
-                                "violations": list(audit.violations),
-                            },
-                            "faults": None if plan is None else plan.report(),
-                            "dist": dict(transcript.dist_stats),
-                        }
-                    )
+
+    def storm(adt, table, shards: int, mix: str, seed: int):
+        spec = mixes[mix]
+        plan = None if spec is None else FaultPlan(seed, spec)
+        cluster = Cluster(
+            adt, table, shards=shards, policy=policy, fault_plan=plan
+        )
+        transcript = cluster.run(
+            campaign_workload(adt, transactions, operations, seed), seed=seed
+        )
+        audit = audit_global(cluster)
+        return {
+            "digest": digest(transcript),
+            "committed": _committed(transcript),
+            "final_states": [list(pair) for pair in transcript.final_states],
+            "audit": audit.to_dict(),
+            "faults": None if plan is None else plan.report(),
+            "dist": dict(transcript.dist_stats),
+        }, audit.passed
+
+    cells, passed = sweep_matrix(
+        adts,
+        {"shards": shard_counts, "mix": sorted(mixes), "seed": seeds},
+        storm,
+    )
     report = {
         "matrix": {
             "adts": sorted(adts),
@@ -171,10 +125,25 @@ def run_dist_chaos(
             "operations": operations,
         },
         "cells": cells,
-        "passed": passed,
     }
     if crash_sweep_enabled:
-        report["crash_sweeps"] = sweeps
+
+        def sweep(adt, table, shards: int):
+            result = dist_crash_sweep(
+                adt,
+                table,
+                campaign_workload(adt, transactions, operations, seeds[0]),
+                shards=shards,
+                policy=policy,
+                seed=seeds[0],
+            )
+            return result.to_dict(), result.passed
+
+        report["crash_sweeps"], swept = sweep_matrix(
+            adts, {"shards": shard_counts}, sweep
+        )
+        passed = passed and swept
+    report["passed"] = passed
     return report
 
 
@@ -222,7 +191,7 @@ def _drive_frontend(
     old primary is still alive.  Outcomes settle through the frontend's
     at-least-once retry machinery; ``finalize()`` drains the tail.
     """
-    frontend = ClusterFrontend(cluster, allow_faults=True)
+    frontend = ClusterFrontend(cluster)
     assignments = shard_workload(workload, cluster.shard_names, seed)
     for index, program in enumerate(workload.programs):
         if partition is not None and index == partition[0]:
@@ -340,169 +309,127 @@ def run_replication_chaos(
     :func:`~repro.dist.audit.audit_global`; the report's ``"passed"``
     is the CI gate.
     """
-    from repro.robust.faults import FaultPlan, FaultSpec
 
-    cells = []
-    passed = True
-    for adt_name in sorted(adts):
-        adt, table = adts[adt_name]
-        for shards in shard_counts:
-            for seed in seeds:
-                workload = generate(
-                    adt,
-                    "obj",
-                    WorkloadConfig(
-                        transactions=transactions,
-                        operations_per_transaction=operations,
-                        seed=seed,
-                    ),
-                )
+    def replicated(adt, table, shards, crash_schedule=None, plan=None):
+        return Cluster(
+            adt, table, shards=shards, policy=policy, fault_plan=plan,
+            crash_schedule=crash_schedule, replicas=replicas,
+        )
 
-                def replicated(crash_schedule=None, plan=None) -> Cluster:
-                    return Cluster(
-                        adt, table, shards=shards, policy=policy,
-                        fault_plan=plan, crash_schedule=crash_schedule,
-                        replicas=replicas,
-                    )
+    def cell(adt, table, shards: int, seed: int):
+        workload = campaign_workload(adt, transactions, operations, seed)
+        scenarios = {}
 
-                scenarios = {}
+        # -- nominal: the goodput reference ----------------------------
+        nominal_cluster = replicated(adt, table, shards)
+        nominal = nominal_cluster.run(workload, seed=seed)
+        rerun = replicated(adt, table, shards).run(workload, seed=seed)
+        nominal_committed = len(_committed(nominal))
+        caught_up = all(
+            backup["lag"] == 0
+            for shard in nominal_cluster.replication.lag_report().values()
+            for backup in shard["backups"].values()
+        )
+        scenarios["nominal"] = _replication_cell_report(
+            nominal_cluster,
+            {
+                "deterministic": nominal == rerun,
+                "backups_caught_up": caught_up,
+            },
+        )
+        scenarios["nominal"]["digest"] = digest(nominal)
 
-                # -- nominal: the goodput reference --------------------
-                nominal_cluster = replicated()
-                nominal = nominal_cluster.run(workload, seed=seed)
-                rerun = replicated().run(workload, seed=seed)
-                nominal_committed = sum(
-                    1 for _, status in nominal.statuses
-                    if status == "COMMITTED"
-                )
-                caught_up = all(
-                    backup["lag"] == 0
-                    for shard in
-                    nominal_cluster.replication.lag_report().values()
-                    for backup in shard["backups"].values()
-                )
-                scenarios["nominal"] = _replication_cell_report(
-                    nominal_cluster,
-                    {
-                        "deterministic": nominal == rerun,
-                        "backups_caught_up": caught_up,
-                    },
-                )
-                scenarios["nominal"]["digest"] = digest(nominal)
+        # -- primary_kill: every primary dies mid-protocol -------------
+        schedule = _KillPrimariesOnce(
+            node.name for node in nominal_cluster.nodes
+        )
+        kill_cluster = replicated(adt, table, shards, crash_schedule=schedule)
+        kill_committed = len(_committed(kill_cluster.run(workload, seed=seed)))
+        floor = int(goodput_floor * nominal_committed)
+        scenarios["primary_kill"] = _replication_cell_report(
+            kill_cluster,
+            {
+                "all_primaries_killed": not schedule.remaining,
+                "failover_per_shard":
+                    kill_cluster.stats.view_changes >= shards,
+                "goodput": kill_committed >= floor,
+            },
+        )
+        scenarios["primary_kill"]["killed"] = [
+            list(pair) for pair in schedule.fired
+        ]
+        scenarios["primary_kill"]["committed_vs_nominal"] = [
+            kill_committed, nominal_committed,
+        ]
 
-                # -- primary_kill: every primary dies mid-protocol -----
-                schedule = _KillPrimariesOnce(
-                    node.name for node in nominal_cluster.nodes
-                )
-                kill_cluster = replicated(crash_schedule=schedule)
-                kill = kill_cluster.run(workload, seed=seed)
-                kill_committed = sum(
-                    1 for _, status in kill.statuses
-                    if status == "COMMITTED"
-                )
-                floor = int(goodput_floor * nominal_committed)
-                scenarios["primary_kill"] = _replication_cell_report(
-                    kill_cluster,
-                    {
-                        "all_primaries_killed": not schedule.remaining,
-                        "failover_per_shard":
-                            kill_cluster.stats.view_changes >= shards,
-                        "goodput":
-                            kill_committed >= floor,
-                    },
-                )
-                scenarios["primary_kill"]["killed"] = [
-                    list(pair) for pair in schedule.fired
-                ]
-                scenarios["primary_kill"]["committed_vs_nominal"] = [
-                    kill_committed, nominal_committed,
-                ]
+        # -- partition_heal: false suspicion, then healing -------------
+        part_cluster = replicated(adt, table, shards)
+        _drive_frontend(
+            part_cluster, workload, seed,
+            partition=(transactions // 2, part_cluster.nodes[0].name, 200.0),
+        )
+        scenarios["partition_heal"] = _replication_cell_report(
+            part_cluster,
+            {
+                "failed_over": part_cluster.stats.view_changes >= 1,
+                "all_settled": all(
+                    status in ("COMMITTED", "ABORTED")
+                    for status in part_cluster.gstatus.values()
+                ),
+            },
+        )
 
-                # -- partition_heal: false suspicion, then healing -----
-                part_cluster = replicated()
-                _drive_frontend(
-                    part_cluster, workload, seed,
-                    partition=(
-                        transactions // 2,
-                        part_cluster.nodes[0].name,
-                        200.0,
-                    ),
-                )
-                scenarios["partition_heal"] = _replication_cell_report(
-                    part_cluster,
-                    {
-                        "failed_over":
-                            part_cluster.stats.view_changes >= 1,
-                        "all_settled": all(
-                            status in ("COMMITTED", "ABORTED")
-                            for status in part_cluster.gstatus.values()
-                        ),
-                    },
-                )
+        # -- duel_fence: the deposed view's message bounces ------------
+        bus = part_cluster.bus
+        before = dict(part_cluster.gstatus)
+        fenced_before = part_cluster.stats.fenced_messages
+        stamp, bus.epoch_stamp = bus.epoch_stamp, None
+        try:
+            bus.send(
+                part_cluster.coordinator.name,
+                part_cluster.nodes[0].name,
+                "decide",
+                payload={"decision": "abort", "_epoch": 0},
+            )
+            bus._pump("~duel", "", bus.now)
+        finally:
+            bus.epoch_stamp = stamp
+        scenarios["duel_fence"] = _replication_cell_report(
+            part_cluster,
+            {
+                "stale_message_fenced":
+                    part_cluster.stats.fenced_messages > fenced_before,
+                "statuses_unaffected": dict(part_cluster.gstatus) == before,
+            },
+        )
 
-                # -- duel_fence: the deposed view's message bounces ----
-                bus = part_cluster.bus
-                before = dict(part_cluster.gstatus)
-                fenced_before = part_cluster.stats.fenced_messages
-                stamp, bus.epoch_stamp = bus.epoch_stamp, None
-                try:
-                    bus.send(
-                        part_cluster.coordinator.name,
-                        part_cluster.nodes[0].name,
-                        "decide",
-                        payload={"decision": "abort", "_epoch": 0},
-                    )
-                    bus._pump("~duel", "", bus.now)
-                finally:
-                    bus.epoch_stamp = stamp
-                scenarios["duel_fence"] = _replication_cell_report(
-                    part_cluster,
-                    {
-                        "stale_message_fenced":
-                            part_cluster.stats.fenced_messages
-                            > fenced_before,
-                        "statuses_unaffected":
-                            dict(part_cluster.gstatus) == before,
-                    },
-                )
+        # -- replica_storm: full fault mix, twice, byte-stable ---------
+        spec = FaultSpec.replication_storm(storm_intensity)
+        storm_digests = []
+        storm_reports = []
+        for _ in range(2):
+            storm_cluster = replicated(
+                adt, table, shards, plan=FaultPlan(seed, spec)
+            )
+            storm_digests.append(
+                digest(storm_cluster.run(workload, seed=seed))
+            )
+            storm_reports.append(_replication_cell_report(storm_cluster, {}))
+        storm_report = storm_reports[0]
+        storm_report["gates"]["deterministic"] = (
+            storm_digests[0] == storm_digests[1]
+            and storm_reports[0] == storm_reports[1]
+        )
+        storm_report["passed"] = all(storm_report["gates"].values())
+        storm_report["digest"] = storm_digests[0]
+        scenarios["replica_storm"] = storm_report
 
-                # -- replica_storm: full fault mix, twice, byte-stable -
-                spec = FaultSpec.replication_storm(storm_intensity)
-                storm_digests = []
-                storm_reports = []
-                for _ in range(2):
-                    storm_cluster = replicated(
-                        plan=FaultPlan(seed, spec)
-                    )
-                    storm = storm_cluster.run(workload, seed=seed)
-                    storm_digests.append(digest(storm))
-                    storm_reports.append(
-                        _replication_cell_report(storm_cluster, {})
-                    )
-                storm_report = storm_reports[0]
-                storm_report["gates"]["deterministic"] = (
-                    storm_digests[0] == storm_digests[1]
-                    and storm_reports[0] == storm_reports[1]
-                )
-                storm_report["passed"] = all(
-                    storm_report["gates"].values()
-                )
-                storm_report["digest"] = storm_digests[0]
-                scenarios["replica_storm"] = storm_report
+        passed = all(s["passed"] for s in scenarios.values())
+        return {"scenarios": scenarios, "passed": passed}, passed
 
-                cell_passed = all(
-                    s["passed"] for s in scenarios.values()
-                )
-                passed = passed and cell_passed
-                cells.append(
-                    {
-                        "adt": adt_name,
-                        "shards": shards,
-                        "seed": seed,
-                        "scenarios": scenarios,
-                        "passed": cell_passed,
-                    }
-                )
+    cells, passed = sweep_matrix(
+        adts, {"shards": shard_counts, "seed": seeds}, cell
+    )
     return {
         "matrix": {
             "adts": sorted(adts),

@@ -380,7 +380,7 @@ class Cluster:
         round opens with the frontend's boundary work, and
         :meth:`ClusterFrontend.finalize` settles the tail.
         """
-        frontend = ClusterFrontend(self, allow_faults=True)
+        frontend = ClusterFrontend(self)
         programs = list(workload.programs)
         assignments = shard_workload(workload, self.shard_names, seed)
         concurrency = (
@@ -595,30 +595,18 @@ class ClusterFrontend:
       exactly as it certifies a driven one;
     * root spans and the cluster's e2e latency histogram per gtxn.
 
-    By default the frontend refuses a cluster configured with a fault
-    plan or crash schedule, which is what makes every RPC outcome
-    reliably reachable here.  With ``allow_faults=True`` (always so
-    under :meth:`Cluster.run`) it *serves over* the faulty cluster: an
-    unreachable or crashed attempt returns a transient no-decision
-    outcome (not executed, not aborted — the caller retries), an
-    incomplete abort is parked in ``_unsettled`` and re-driven at
-    boundaries, and :meth:`tick_boundary` / :meth:`finalize` run the
+    The frontend *serves over* faults: an unreachable or crashed
+    attempt returns a transient no-decision outcome (not executed, not
+    aborted — the caller retries), an incomplete abort is parked in
+    ``_unsettled`` and re-driven at boundaries, and
+    :meth:`tick_boundary` / :meth:`finalize` run the
     revive/flush/terminate machinery, so at-least-once serving
-    converges to an audited end state.
+    converges to an audited end state.  On a cluster with no fault plan
+    or crash schedule none of those paths is reachable.
     """
 
-    def __init__(self, cluster: Cluster, allow_faults: bool = False) -> None:
-        faulty = (
-            cluster.plan is not None or cluster.crash_schedule is not None
-        )
-        if faulty and not allow_faults:
-            raise SchedulerError(
-                "ClusterFrontend serves fault-free clusters only; "
-                "fault plans belong to Cluster.run "
-                "(or pass allow_faults=True)"
-            )
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.allow_faults = allow_faults
         self._txn: dict[int, _FrontTxn] = {}
         self._status: dict[int, str] = {}
         self._listeners: list = []
@@ -669,12 +657,8 @@ class ClusterFrontend:
             deadline=deadline,
         )
         if outcome.status == "unreachable":
-            if self.allow_faults:
-                # No decision was observed; the caller retries.
-                return _TRANSIENT_OP
-            raise SchedulerError(
-                f"unreachable node {node_name} on a fault-free bus"
-            )
+            # No decision was observed; the caller retries.
+            return _TRANSIENT_OP
         state.participants.add(node_name)
         self._mark_aborted(outcome.others_aborted)
         decision = OpDecision(
@@ -726,9 +710,7 @@ class ClusterFrontend:
             cluster._coordinator_crashed()
             return _TRANSIENT_COMMIT
         if outcome.status == "unreachable":
-            if self.allow_faults:
-                return _TRANSIENT_COMMIT
-            raise SchedulerError("unreachable participant on a fault-free bus")
+            return _TRANSIENT_COMMIT
         self._mark_aborted(outcome.others_aborted)
         if outcome.status == "committed":
             cluster.gstamps[gtxn] = next(self._stamps)
@@ -761,10 +743,6 @@ class ClusterFrontend:
                 span=self.cluster._root_ctx.get(gtxn, _NO_CONTEXT),
             )
             if others is None:
-                if not self.allow_faults:
-                    raise SchedulerError(
-                        "incomplete abort on a fault-free bus"
-                    )
                 # A leg was unreachable.  The abort is decided (the
                 # caller sees ABORTED now); delivery to the remaining
                 # legs is re-driven at tick boundaries until complete.

@@ -84,6 +84,21 @@ class DistCrashSweepResult:
     def failures(self) -> tuple:
         return tuple(r for r in self.results if not r.passed)
 
+    def to_dict(self) -> dict:
+        return {
+            "points_reached": self.points_reached,
+            "passed": self.passed,
+            "failures": [
+                {
+                    "index": failure.index,
+                    "actor": failure.actor,
+                    "label": failure.label,
+                    "violations": list(failure.audit.violations),
+                }
+                for failure in self.failures()
+            ],
+        }
+
 
 def dist_crash_sweep(
     adt,

@@ -1,21 +1,34 @@
 """Chaos campaigns: fault storms + crash sweeps over an ADT/seed matrix.
 
 The ``chaos`` CLI subcommand and the CI ``chaos-smoke`` job both bottom
-out here: :func:`run_chaos` takes a matrix of (ADT × policy × seed)
-cells and, per cell, (a) runs the exhaustive crash-point sweep
+out here.  This module is also the campaign kernel every chaos campaign
+shares:
+
+* :func:`sweep_matrix` is the one matrix loop — one cell per sorted ADT
+  name × point of the campaign's axes, and the campaign verdict is the
+  AND of every cell's verdict;
+* :func:`campaign_workload` is the one workload builder;
+* :func:`digest` and :func:`spec_dict` render transcripts and fault
+  specs, and :func:`render_report` serialises a report.
+
+:func:`run_chaos` sweeps (ADT × policy × seed) cells and, per cell,
+(a) runs the exhaustive crash-point sweep
 (:func:`repro.robust.crash.crash_sweep`) and (b) drives the workload
 under a seeded fault storm with the invariant monitor attached,
-verifying the run completes with a serializable committed history.  The
-result is a plain JSON-ready report; everything feeding it is seeded
-and clock-free, so the same matrix and spec produce a **byte-identical**
-report (``render_report`` serialises with sorted keys) — chaos results
-are diffable artifacts, not flaky dashboards.
+verifying the run completes with a serializable committed history.  It
+can embed the distributed, serving and replication campaigns, which
+sweep their own axes through the same kernel.  The result is a plain
+JSON-ready report; everything feeding it is seeded and clock-free, so
+the same matrix and spec produce a **byte-identical** report
+(``render_report`` serialises with sorted keys) — chaos results are
+diffable artifacts, not flaky dashboards.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 from repro.cc.harness import drive
@@ -27,7 +40,14 @@ from repro.robust.decision_log import DecisionLog
 from repro.robust.faults import FaultPlan, FaultSpec, RobustStats
 from repro.robust.monitor import MonitoredScheduler
 
-__all__ = ["digest", "run_chaos", "render_report", "spec_dict"]
+__all__ = [
+    "campaign_workload",
+    "digest",
+    "render_report",
+    "run_chaos",
+    "spec_dict",
+    "sweep_matrix",
+]
 
 
 def digest(payload) -> str:
@@ -38,6 +58,43 @@ def digest(payload) -> str:
 def spec_dict(spec: FaultSpec | None) -> dict | None:
     """A fault spec as a JSON-ready dict (``None`` when no plan runs)."""
     return None if spec is None else dataclasses.asdict(spec)
+
+
+def sweep_matrix(
+    adts: dict[str, tuple], axes: dict, cell
+) -> tuple[list, bool]:
+    """Run ``cell`` over every ADT × axis point; returns ``(cells, passed)``.
+
+    ``adts`` maps ADT name to ``(adt, table)`` and is walked in sorted
+    name order; ``axes`` maps axis name to its values, and the points
+    are their :func:`itertools.product`, first axis outermost.
+    ``cell(adt, table, **point)`` returns ``(fields, passed)``; each
+    report cell is ``{"adt": name, **point, **fields}`` and the matrix
+    passes only if every cell does.
+    """
+    cells = []
+    passed = True
+    for name in sorted(adts):
+        adt, table = adts[name]
+        for values in itertools.product(*axes.values()):
+            point = dict(zip(axes, values))
+            fields, cell_passed = cell(adt, table, **point)
+            cells.append({"adt": name, **point, **fields})
+            passed = passed and cell_passed
+    return cells, passed
+
+
+def campaign_workload(adt, transactions: int, operations: int, seed: int):
+    """The seeded single-object workload every campaign cell drives."""
+    return generate(
+        adt,
+        "obj",
+        WorkloadConfig(
+            transactions=transactions,
+            operations_per_transaction=operations,
+            seed=seed,
+        ),
+    )
 
 
 def _storm_cell(
@@ -99,88 +156,46 @@ def run_chaos(
     ``distributed=True`` additionally runs the sharded campaign
     (:func:`repro.dist.chaos.run_dist_chaos`) over ``shard_counts`` —
     message storms over the simulated bus plus the distributed
-    crash-point sweep — and embeds its report under ``"distributed"``,
-    folding its verdict into ``"passed"``.
+    crash-point sweep — and embeds its report under ``"distributed"``.
 
     ``serving=True`` additionally runs the serving campaign
     (:func:`repro.serve.chaos.run_serving_chaos`) — overload plus
-    faults against the hardened serving loop, with the graceful-
-    degradation goodput gate and the no-resurrection certification —
-    and embeds its report under ``"serving"``, folding its verdict
-    into ``"passed"``.
+    faults against the hardened serving loop, at the storm's
+    ``spurious_abort_rate``, with the graceful-degradation goodput gate
+    and the no-resurrection certification — and embeds its report under
+    ``"serving"``.
 
     ``replication=True`` additionally runs the replicated-failover
     campaign (:func:`repro.dist.chaos.run_replication_chaos`) — primary
     kills mid-2PC, partition-then-heal false suspicion, dueling-primary
     fencing, and backup-crash storms over replica groups — and embeds
-    its report under ``"replication"``, folding its verdict into
-    ``"passed"``.
+    its report under ``"replication"``.
+
+    Every embedded campaign's verdict is folded into ``"passed"``.
     """
+    # Imported here: repro.dist and repro.serve build on this module.
+    from repro.dist.chaos import run_dist_chaos, run_replication_chaos
+    from repro.serve.chaos import run_serving_chaos
+
     spec = spec if spec is not None else FaultSpec.storm()
-    cells = []
-    passed = True
-    for adt_name in sorted(adts):
-        adt, table = adts[adt_name]
-        for policy in policies:
-            for seed in seeds:
-                workload = generate(
-                    adt,
-                    "obj",
-                    WorkloadConfig(
-                        transactions=transactions,
-                        operations_per_transaction=operations,
-                        seed=seed,
-                    ),
-                )
-                cell: dict = {"adt": adt_name, "policy": policy, "seed": seed}
-                if crash_sweep_enabled:
-                    sweep = crash_sweep(adt, table, workload, policy=policy)
-                    cell["crash_sweep"] = sweep.to_dict()
-                    passed = passed and sweep.passed
-                storm = _storm_cell(
-                    adt, table, workload, policy, seed, spec, check_interval
-                )
-                cell["fault_storm"] = storm
-                passed = passed and storm["serializable"]
-                cells.append(cell)
-    dist_report = None
-    if distributed:
-        # Imported lazily: repro.dist builds on this module's siblings.
-        from repro.dist.chaos import run_dist_chaos
 
-        dist_report = run_dist_chaos(
-            adts,
-            shard_counts=shard_counts,
-            seeds=seeds,
-            policy=policies[0],
-            transactions=transactions,
-            operations=operations,
-            crash_sweep_enabled=crash_sweep_enabled,
+    def cell(adt, table, policy: str, seed: int) -> tuple[dict, bool]:
+        workload = campaign_workload(adt, transactions, operations, seed)
+        fields: dict = {}
+        swept = True
+        if crash_sweep_enabled:
+            sweep = crash_sweep(adt, table, workload, policy=policy)
+            fields["crash_sweep"] = sweep.to_dict()
+            swept = sweep.passed
+        storm = _storm_cell(
+            adt, table, workload, policy, seed, spec, check_interval
         )
-        passed = passed and dist_report["passed"]
-    serving_report = None
-    if serving:
-        # Imported lazily: repro.serve builds on this module's siblings.
-        from repro.serve.chaos import run_serving_chaos
+        fields["fault_storm"] = storm
+        return fields, swept and storm["serializable"]
 
-        serving_report = run_serving_chaos(
-            adts,
-            shard_counts=tuple(n for n in shard_counts if n > 0) or (1,),
-            seeds=seeds,
-            intensity=spec.spurious_abort_rate or 0.05,
-        )
-        passed = passed and serving_report["passed"]
-    replication_report = None
-    if replication:
-        # Imported lazily: repro.dist builds on this module's siblings.
-        from repro.dist.chaos import run_replication_chaos
-
-        replication_report = run_replication_chaos(
-            adts,
-            shard_counts=tuple(n for n in shard_counts if n > 1) or (2,),
-            seeds=seeds,
-        )
-        passed = passed and replication_report["passed"]
+    cells, passed = sweep_matrix(
+        adts, {"policy": policies, "seed": seeds}, cell
+    )
     report = {
         "matrix": {
             "adts": sorted(adts),
@@ -199,15 +214,35 @@ def run_chaos(
             "max_crashes": spec.max_crashes,
         },
         "cells": cells,
-        "passed": passed,
     }
-    if dist_report is not None:
-        report["distributed"] = dist_report
+    if distributed:
+        report["distributed"] = run_dist_chaos(
+            adts,
+            shard_counts=shard_counts,
+            seeds=seeds,
+            policy=policies[0],
+            transactions=transactions,
+            operations=operations,
+            crash_sweep_enabled=crash_sweep_enabled,
+        )
         report["matrix"]["shard_counts"] = list(shard_counts)
-    if serving_report is not None:
-        report["serving"] = serving_report
-    if replication_report is not None:
-        report["replication"] = replication_report
+    if serving:
+        report["serving"] = run_serving_chaos(
+            adts,
+            shard_counts=tuple(n for n in shard_counts if n > 0) or (1,),
+            seeds=seeds,
+            intensity=spec.spurious_abort_rate,
+        )
+    if replication:
+        report["replication"] = run_replication_chaos(
+            adts,
+            shard_counts=tuple(n for n in shard_counts if n > 1) or (2,),
+            seeds=seeds,
+        )
+    for section in ("distributed", "serving", "replication"):
+        if section in report:
+            passed = passed and report[section]["passed"]
+    report["passed"] = passed
     return report
 
 

@@ -1,11 +1,12 @@
 """Serving chaos campaigns: overload plus faults against the hardened loop.
 
-The serving analogue of :func:`repro.robust.chaos.run_chaos` and
-:func:`repro.dist.chaos.run_dist_chaos`: the matrix is **ADT × backend
-(bare scheduler / cluster shard counts) × load mix × seed**, and each
-cell runs the fully hardened :class:`~repro.serve.loop.ServingLoop` —
-deadline budgets, circuit breakers, the degradation ladder, at-least-once
-retry — under one of three mixes:
+:func:`run_serving_chaos` sweeps **backend (bare scheduler / cluster
+shard counts) × seed** through the campaign kernel
+(:func:`repro.robust.chaos.sweep_matrix`), one group per ADT × backend ×
+seed.  Each group runs the fully hardened
+:class:`~repro.serve.loop.ServingLoop` — deadline budgets, circuit
+breakers, the degradation ladder, at-least-once retry — under each of
+three mixes:
 
 * ``nominal`` — the baseline arrival rate, no faults: the goodput
   reference every degradation gate is measured against, and the proof
@@ -19,11 +20,11 @@ retry — under one of three mixes:
   cluster, served over at-least-once through
   :meth:`~repro.dist.cluster.ClusterFrontend.tick_boundary`.
 
-Two certifications per cell, folded into the report's ``passed`` gate:
+Two certifications per group, folded into the report's ``passed`` gate:
 
 1. **Graceful degradation** — committed work (``goodput_ops``) under
    ``overload_faults`` stays at or above ``goodput_floor`` (default
-   50%) of the ``nominal`` cell's.
+   50%) of the ``nominal`` run's.
 2. **No resurrection** — no request the loop shed, expired or
    retired ever appears committed: every transaction begun for such a
    request is checked against the backend's committed history, the
@@ -34,16 +35,18 @@ Two certifications per cell, folded into the report's ``passed`` gate:
 
 Everything is seeded and clock-free, so the report is **byte-stable**:
 the same matrix produces identical JSON byte-for-byte (asserted by the
-CI ``serving-chaos-smoke`` job, which runs the campaign twice and
-compares).  Each cell embeds a SHA-256 digest of its outcome map, so
-sub-field drift between two runs is loud.
+CI ``serving-chaos-smoke`` job, which runs the campaign twice under two
+hash seeds and compares).  Each cell embeds a SHA-256 digest of its
+outcome map, so sub-field drift between two runs is loud.
 """
 
 from __future__ import annotations
 
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.serializability import is_serializable
-from repro.robust.chaos import digest, spec_dict
+from repro.dist.audit import audit_global
+from repro.dist.cluster import Cluster, ClusterFrontend
+from repro.robust.chaos import digest, spec_dict, sweep_matrix
 from repro.robust.faults import FaultPlan, FaultSpec
 
 from repro.serve.backend import ClusterBackend, SchedulerBackend
@@ -170,8 +173,7 @@ def _result_cell(loop: ServingLoop, result) -> dict:
     }
 
 
-def _scheduler_cell(adts, adt_name, mix, seed, intensity) -> tuple[dict, bool]:
-    adt, table = adts[adt_name]
+def _scheduler_cell(adt, table, mix: dict, seed: int) -> tuple[dict, bool]:
     scheduler = TableDrivenScheduler(policy="optimistic")
     backend = SchedulerBackend(scheduler)
     for name in ("obj0", "obj1"):
@@ -199,21 +201,15 @@ def _scheduler_cell(adts, adt_name, mix, seed, intensity) -> tuple[dict, bool]:
 
 
 def _cluster_cell(
-    adts, adt_name, shards, mix, seed, intensity, replicas=1
+    adt, table, shards: int, mix: dict, seed: int, replicas: int
 ) -> tuple[dict, bool]:
-    from repro.dist.audit import audit_global
-    from repro.dist.cluster import Cluster, ClusterFrontend
-
-    adt, table = adts[adt_name]
     spec = mix["cluster"]
     plan = None if spec is None else FaultPlan(seed, spec)
     cluster = Cluster(
         adt, table, shards=shards, policy="blocking", fault_plan=plan,
         replicas=replicas,
     )
-    backend = ClusterBackend(
-        ClusterFrontend(cluster, allow_faults=plan is not None)
-    )
+    backend = ClusterBackend(ClusterFrontend(cluster))
     workload = _workload(
         adt, mix["load"], seed, objects=shards,
         object_names=tuple(cluster.shard_names),
@@ -227,13 +223,8 @@ def _cluster_cell(
     violations = _certify_no_resurrection(loop, committed_txn)
     audit = audit_global(cluster)
     cell = _result_cell(loop, result)
-    cell["audit"] = {
-        "passed": audit.passed,
-        "serializable": audit.serializable,
-        "ad_cd_ok": audit.ad_cd_ok,
-        "in_doubt": list(audit.in_doubt),
-        "violations": list(audit.violations) + violations,
-    }
+    cell["audit"] = audit.to_dict()
+    cell["audit"]["violations"] += violations
     cell["faults"] = _fault_summary(plan)
     cell["dist"] = cluster.stats.to_dict()
     return cell, audit.passed and not violations
@@ -267,49 +258,39 @@ def run_serving_chaos(
     """
     mixes = SERVING_MIXES(intensity)
     backends = ["scheduler"] + [f"cluster{n}" for n in shard_counts]
-    groups = []
-    passed = True
-    for adt_name in sorted(adts):
-        for backend_name in backends:
-            for seed in seeds:
-                cells = {}
-                group_ok = True
-                for mix_name in sorted(mixes):
-                    mix = mixes[mix_name]
-                    if backend_name == "scheduler":
-                        cell, ok = _scheduler_cell(
-                            adts, adt_name, mix, seed, intensity
-                        )
-                    else:
-                        shards = int(backend_name[len("cluster"):])
-                        cell, ok = _cluster_cell(
-                            adts, adt_name, shards, mix, seed, intensity,
-                            replicas=replicas,
-                        )
-                    cells[mix_name] = cell
-                    group_ok = group_ok and ok
-                # Gate on completed work, not work-per-sim-time: the
-                # fault plan's stalls (partitions, crash recovery)
-                # legitimately stretch the clock, and a per-time ratio
-                # would grade the plan's stall budget rather than how
-                # much offered work the hardened loop still lands.
-                nominal = cells["nominal"]["goodput_ops"]
-                stormy = cells["overload_faults"]["goodput_ops"]
-                ratio = stormy / nominal if nominal else 0.0
-                degraded_ok = ratio >= goodput_floor
-                group_ok = group_ok and degraded_ok
-                passed = passed and group_ok
-                groups.append(
-                    {
-                        "adt": adt_name,
-                        "backend": backend_name,
-                        "seed": seed,
-                        "cells": cells,
-                        "goodput_ratio": ratio,
-                        "degraded_ok": degraded_ok,
-                        "passed": group_ok,
-                    }
+
+    def group(adt, table, backend: str, seed: int) -> tuple[dict, bool]:
+        runs = {
+            name: (
+                _scheduler_cell(adt, table, mixes[name], seed)
+                if backend == "scheduler"
+                else _cluster_cell(
+                    adt, table, int(backend[len("cluster"):]), mixes[name],
+                    seed, replicas,
                 )
+            )
+            for name in sorted(mixes)
+        }
+        # Gate on completed work, not work-per-sim-time: the fault
+        # plan's stalls (partitions, crash recovery) legitimately
+        # stretch the clock, and a per-time ratio would grade the plan's
+        # stall budget rather than how much offered work the hardened
+        # loop still lands.
+        nominal = runs["nominal"][0]["goodput_ops"]
+        stormy = runs["overload_faults"][0]["goodput_ops"]
+        ratio = stormy / nominal if nominal else 0.0
+        degraded_ok = ratio >= goodput_floor
+        passed = degraded_ok and all(ok for _, ok in runs.values())
+        return {
+            "cells": {name: cell for name, (cell, _) in runs.items()},
+            "goodput_ratio": ratio,
+            "degraded_ok": degraded_ok,
+            "passed": passed,
+        }, passed
+
+    groups, passed = sweep_matrix(
+        adts, {"backend": backends, "seed": seeds}, group
+    )
     return {
         "matrix": {
             "adts": sorted(adts),

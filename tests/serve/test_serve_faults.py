@@ -218,7 +218,7 @@ class TestNoResurrection:
         cluster = Cluster(
             adt, table, shards=2, policy="blocking", fault_plan=plan
         )
-        backend = ClusterBackend(ClusterFrontend(cluster, allow_faults=True))
+        backend = ClusterBackend(ClusterFrontend(cluster))
         workload = generate(
             adt,
             ServeConfig(

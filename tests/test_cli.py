@@ -126,6 +126,31 @@ class TestChaosExitCode:
             )
 
 
+class TestChaosInputValidation:
+    """Invalid campaign input is a usage error (exit 2), never exit 1 —
+    exit 1 is reserved for a failed gate."""
+
+    def assert_usage_error(self, capsys, *flags):
+        with pytest.raises(SystemExit) as raised:
+            main(["chaos", "Account", "--no-crash-sweep", *flags])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {flags[0]}" in err
+
+    def test_zero_shards_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--shards", "0", "--dist")
+
+    def test_zero_transactions_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--transactions", "0")
+
+    def test_zero_operations_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--operations", "0")
+
+    def test_intensity_outside_unit_interval_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--intensity", "2")
+
+
 class TestTablesCommand:
     def test_tables_generates_docs(self, tmp_path, capsys):
         assert main(["tables", "--out", str(tmp_path)]) == 0
