@@ -570,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("adt", choices=builtin_names())
     simulate.add_argument("--policy", default="blocking",
                           choices=("optimistic", "blocking"))
-    simulate.add_argument("--transactions", type=int, default=12)
-    simulate.add_argument("--operations", type=int, default=3)
+    simulate.add_argument("--transactions", type=_count, default=12)
+    simulate.add_argument("--operations", type=_count, default=3)
     simulate.add_argument("--seed", type=int, default=1991)
     simulate.add_argument(
         "--trace", metavar="FILE", default=None,
@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
              "run under the decision log + invariant monitor",
     )
     simulate.add_argument(
-        "--fault-intensity", type=float, default=0.05, metavar="RATE",
+        "--fault-intensity", type=_rate, default=0.05, metavar="RATE",
         help="per-consult fault rate of the storm (default 0.05)",
     )
     simulate.add_argument(
@@ -597,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the bit-parity behaviour)",
     )
     simulate.add_argument(
-        "--shards", type=int, metavar="N", default=None,
+        "--shards", type=_count, metavar="N", default=None,
         help="run the workload over an N-shard simulated cluster "
              "(one scheduler per node, dependency-aware 2PC, global "
              "serializability audit); with --fault-plan the storm is the "

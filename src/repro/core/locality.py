@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.graph.instrument import EdgeAttribution
+from repro.graph.instrument import LOCALITY_FIELDS, EdgeAttribution
 from repro.spec.adt import ADTSpec, EnumerationBounds, Execution
 from repro.spec.enumeration import executions_of
 
@@ -123,9 +123,6 @@ class LocalityProfile:
         )
 
 
-_KIND_NAMES = ("so", "sm", "co", "cm")
-
-
 def profile_executions(executions: Sequence[Execution]) -> LocalityProfile:
     """Build a :class:`LocalityProfile` from a full set of executions."""
     if not executions:
@@ -144,7 +141,7 @@ def profile_executions(executions: Sequence[Execution]) -> LocalityProfile:
     )
     global_kinds = frozenset(
         kind
-        for kind in _KIND_NAMES
+        for kind in LOCALITY_FIELDS
         if all(covers(e.trace.kind(kind), e.pre_simple_vertices) for e in executions)
     )
     return LocalityProfile(

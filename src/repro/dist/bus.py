@@ -176,7 +176,6 @@ class SimBus:
         inside the replica group, and exempting it keeps the
         message-fault streams byte-identical to unreplicated runs.
         """
-        detail = f"{src}->{dst}:{kind}"
         plan = None if reliable else self.plan
         extra_latency = 0.0
         duplicate = False
@@ -190,7 +189,7 @@ class SimBus:
             if opened is not None:
                 pick, duration = opened
                 self.open_partition(self.partition_links[pick], duration)
-        if not reliable:
+        if not reliable and self._partitions:
             link = frozenset((src, dst))
             heals_at = self._partitions.get(link)
             if heals_at is not None:
@@ -200,6 +199,7 @@ class SimBus:
                     return
                 del self._partitions[link]
         if plan:
+            detail = f"{src}->{dst}:{kind}"
             if plan.msg_drop(detail):
                 self.stats.messages_dropped += 1
                 self._drop(src, dst, kind, gtxn, "fault")

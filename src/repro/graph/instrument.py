@@ -49,6 +49,7 @@ from repro.graph.vertex import VertexId
 
 __all__ = [
     "EdgeAttribution",
+    "LOCALITY_FIELDS",
     "LocalityTrace",
     "InstrumentedGraph",
     "UndoJournal",
@@ -64,6 +65,15 @@ class EdgeAttribution(enum.Enum):
     #: Only the source of the edge enters the locality (reference-granular
     #: reading used implicitly by the paper's Stage 5).
     SOURCE = "source"
+
+
+#: The :class:`LocalityTrace` field of each Table-2 locality kind.
+LOCALITY_FIELDS = {
+    "so": "structure_observed",
+    "co": "content_observed",
+    "sm": "structure_modified",
+    "cm": "content_modified",
+}
 
 
 @dataclass
@@ -102,12 +112,7 @@ class LocalityTrace:
 
     def kind(self, name: str) -> set[VertexId]:
         """Locality set by short name: ``'so'``, ``'sm'``, ``'co'`` or ``'cm'``."""
-        return {
-            "so": self.structure_observed,
-            "sm": self.structure_modified,
-            "co": self.content_observed,
-            "cm": self.content_modified,
-        }[name]
+        return getattr(self, LOCALITY_FIELDS[name])
 
     def merge(self, other: "LocalityTrace") -> "LocalityTrace":
         """Union of two traces (used when aggregating over states/arguments)."""

@@ -126,17 +126,26 @@ class TestChaosExitCode:
             )
 
 
-class TestChaosInputValidation:
-    """Invalid campaign input is a usage error (exit 2), never exit 1 —
-    exit 1 is reserved for a failed gate."""
+class _UsageErrors:
+    """``assert_usage_error(*flags)``: ``PREFIX + flags`` exits 2 with a
+    one-line argparse error naming the first flag, and no traceback."""
+
+    PREFIX: list[str] = []
 
     def assert_usage_error(self, capsys, *flags):
         with pytest.raises(SystemExit) as raised:
-            main(["chaos", "Account", "--no-crash-sweep", *flags])
+            main([*self.PREFIX, *flags])
         assert raised.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"argument {flags[0]}" in err
+
+
+class TestChaosInputValidation(_UsageErrors):
+    """Invalid campaign input is a usage error (exit 2), never exit 1 —
+    exit 1 is reserved for a failed gate."""
+
+    PREFIX = ["chaos", "Account", "--no-crash-sweep"]
 
     def test_zero_shards_rejected(self, capsys):
         self.assert_usage_error(capsys, "--shards", "0", "--dist")
@@ -149,6 +158,28 @@ class TestChaosInputValidation:
 
     def test_intensity_outside_unit_interval_rejected(self, capsys):
         self.assert_usage_error(capsys, "--intensity", "2")
+
+
+class TestSimulateInputValidation(_UsageErrors):
+    """Invalid simulate counts and rates are usage errors (exit 2), not
+    tracebacks from deep inside the workload generator or the cluster."""
+
+    PREFIX = ["simulate", "Account"]
+
+    def test_zero_transactions_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--transactions", "0")
+
+    def test_zero_operations_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--operations", "0")
+
+    def test_zero_shards_rejected(self, capsys):
+        self.assert_usage_error(capsys, "--shards", "0")
+
+    @pytest.mark.parametrize("rate", ["2", "-1"])
+    def test_fault_intensity_outside_unit_interval_rejected(self, capsys, rate):
+        self.assert_usage_error(
+            capsys, "--fault-intensity", rate, "--fault-plan", "1"
+        )
 
 
 class TestTablesCommand:
