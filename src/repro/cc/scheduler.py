@@ -48,18 +48,16 @@ O(active × log × replay) as in the seed (kept verbatim in
   without that txn" states advanced incrementally on every grant and
   epoch-invalidated on abort rollback — instead of replaying the log per
   pair check;
-* the pre-state is read only when some active peer has an operation
-  outside the requested operation's unconditional-ND row, and the object
-  graph backing condition contexts is built at most once per request, by
-  the first condition context that needs it, and shared across every
-  pair iteration;
-* under the blocking policy, the granted operation executes once: the
-  admission run is staged on the live graph under an undo journal and
-  kept by the grant (:meth:`~repro.cc.objects.SharedObject.execute`), or
-  undone when the request blocks; the admission's pair verdicts are
-  memoized and reused (nothing can run in between — admission and grant
-  happen in one synchronous call), so each pair is decided once rather
-  than twice;
+* only conditional cells build a condition context, and the pre-state
+  is read only when some active peer has an operation in one; the graph
+  backing the contexts is built at most once per request and shared;
+* each active peer is decided once per request, by one lazy verdict
+  stream (:meth:`~TableDrivenScheduler._verdicts`).  Blocking admission
+  folds its blockers from the whole stream, and the grant keeps the
+  staged admission run (:meth:`~repro.cc.objects.SharedObject.execute`)
+  and records the same verdicts, as nothing runs in between.  Other
+  grants run in place and record the stream as it is decided, so a
+  dependency cycle stops it before any later peer is decided;
 * the active transactions are kept as a set, updated where a
   transaction begins, commits or aborts, so
   :meth:`~TableDrivenScheduler.active_transactions` costs O(active), not
@@ -96,7 +94,7 @@ in :mod:`repro.cc.validation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.cc.dependencies import DependencyGraph
 from repro.cc.objects import AppliedOperation, SharedObject
@@ -187,12 +185,10 @@ class SchedulerStats:
     #: Shadow states (re)built by a full log replay (a transaction's
     #: first certification, or the first after an abort invalidation).
     shadow_full_replays: int = 0
-    #: Condition contexts that reused the per-request pre-state graph
-    #: instead of rebuilding it (the seed rebuilt one per pair).
+    #: Condition contexts of conditional cells that reused the
+    #: per-request pre-state graph instead of rebuilding it (the seed
+    #: built one per pair, conditional or not).
     context_reuses: int = 0
-    #: Blocking-policy pair verdicts reused from the admission preview
-    #: instead of being recomputed after execution.
-    preview_reuses: int = 0
     #: Pair checks settled by the conflict matrix's unconditional-ND
     #: bitmask without building a condition context.
     nd_fast_path_hits: int = 0
@@ -266,14 +262,15 @@ _SHADOW_EVIDENCE = _DepEvidence(
 class _PreGraph:
     """The pre-state object graph of one request, built at most once.
 
-    Every pair iteration of a request evaluates its conditions against
+    Every conditional cell of a request evaluates its conditions against
     the same pre-state; the seed rebuilt the graph per pair.  The holder
     materialises it on first use and counts each subsequent reuse.
 
     The requested operation runs in place, so the pre-state is read
-    before that run, and only when a condition context can ask for it
-    (see :meth:`TableDrivenScheduler._pre_graph`); otherwise it is
-    ``None`` and :meth:`get` is never called.
+    before that run, and only when some peer's operation meets a
+    conditional cell of the requested row (see
+    :meth:`TableDrivenScheduler._verdicts`); otherwise it is ``None`` and
+    :meth:`get` is never called.
     """
 
     __slots__ = ("adt", "pre_state", "stats", "graph")
@@ -294,16 +291,9 @@ class _PreGraph:
         return self.graph
 
 
-class _PreviewVerdicts(NamedTuple):
-    """Blocking-policy admission verdicts, reusable by the grant path.
-
-    ``condition_evaluations`` per transaction record what recomputing the
-    verdict would cost, so reusing it can keep the seed counter exact.
-    """
-
-    #: other txn -> (dependency, evidence, condition evaluations).
-    verdicts: dict[TxnId, tuple[Dependency, _DepEvidence, int]]
-    pre_graph: "_PreGraph"
+#: One peer's verdict: ``(other_txn, dependency, evidence, condition
+#: evaluations)``.
+_Verdict = tuple[TxnId, Dependency, _DepEvidence, int]
 
 
 @dataclass
@@ -526,7 +516,6 @@ class TableDrivenScheduler:
         deadlock victim is removed (the seed recursed, which deep victim
         chains could drive into the recursion limit).
         """
-        preview: _PreviewVerdicts | None = None
         while True:
             transaction = self.transaction(txn)
             transaction.require_active()
@@ -546,64 +535,66 @@ class TableDrivenScheduler:
                 )
 
             mode = self._object_policy.get(object_name, self.policy)
-            if mode != "optimistic":
-                if mode == "blocking":
-                    blockers, preview = self._blocking_conflicts(
-                        txn, registered, invocation
-                    )
-                else:  # queued: serialize behind every active holder
-                    blockers = self._queued_conflicts(txn, shared)
-                    preview = None
-                if blockers:
-                    shared.unstage()
-                    self.stats.operations_blocked += 1
-                    conflict.note_block()
-                    if txn not in self._wait_for:
-                        self.stats.blocked_time_events += 1
-                    self._wait_for[txn] = set(blockers)
-                    victim = self._resolve_deadlock(txn)
-                    if victim is not None:
-                        # The victim's abort may have cascaded to the
-                        # requester itself (an AD edge from earlier work).
-                        if victim == txn or not self.transaction(txn).is_active:
-                            return OpDecision(executed=False, aborted=True)
-                        # The blocker was the victim; retry the request
-                        # now that it is gone (the preview is stale).
-                        preview = None
-                        continue
-                    if self.tracer:
-                        self.tracer.emit(
-                            OpBlocked(
-                                time=self.now,
-                                txn=txn,
-                                object_name=object_name,
-                                operation=invocation.operation,
-                                args=repr(invocation.args),
-                                blocked_on=tuple(sorted(blockers)),
-                            )
-                        )
-                    return OpDecision(
-                        executed=False, blocked_on=frozenset(blockers)
-                    )
+            if mode == "optimistic":
+                break
+            if mode == "blocking":
+                nd_fast_before = self.stats.nd_fast_path_hits
+                _, stream = self._verdicts(txn, registered, invocation, stage=True)
+                verdicts = list(stream)
+                conflict.add_nd_fast(self.stats.nd_fast_path_hits - nd_fast_before)
+                blockers = set()
+                for other_txn, dependency, _, evaluations in verdicts:
+                    self.stats.condition_evaluations += evaluations
+                    if dependency is Dependency.AD or (
+                        dependency is Dependency.CD
+                        and self._deps.depends_transitively(other_txn, txn)
+                    ):
+                        # A CD edge that would close a cycle (the other
+                        # transaction already depends on us) waits for
+                        # the other to resolve rather than abort.
+                        blockers.add(other_txn)
+            else:  # queued: serialize behind every active holder
+                blockers = self._queued_conflicts(txn, shared)
+            if not blockers:
                 self._wait_for.pop(txn, None)
-            break
+                break
+            shared.unstage()
+            self.stats.operations_blocked += 1
+            conflict.note_block()
+            if txn not in self._wait_for:
+                self.stats.blocked_time_events += 1
+            self._wait_for[txn] = set(blockers)
+            victim = self._resolve_deadlock(txn)
+            if victim is not None:
+                # The victim's abort may have cascaded to the requester
+                # itself (an AD edge from earlier work).
+                if victim == txn or not self.transaction(txn).is_active:
+                    return OpDecision(executed=False, aborted=True)
+                # The blocker was the victim; retry the request now that
+                # it is gone.
+                continue
+            if self.tracer:
+                self.tracer.emit(
+                    OpBlocked(
+                        time=self.now,
+                        txn=txn,
+                        object_name=object_name,
+                        operation=invocation.operation,
+                        args=repr(invocation.args),
+                        blocked_on=tuple(sorted(blockers)),
+                    )
+                )
+            return OpDecision(executed=False, blocked_on=frozenset(blockers))
 
-        # A blocking grant keeps its staged admission run (nothing has
-        # touched the object since) and the pre-state read before it;
-        # every other grant reads what it needs before running in place.
-        if preview is not None:
-            pre_graph = preview.pre_graph
+        if mode == "blocking":
+            # The grant keeps the staged admission run and records the
+            # verdicts admission decided: nothing has run in between.
+            applied = shared.execute(txn, invocation)
         else:
-            pre_graph = self._pre_graph(
-                txn,
-                registered,
-                registered.matrix.op_id[invocation.operation],
-                self._active_peers(registered, skip=None),
+            applied, verdicts = self._verdicts(
+                txn, registered, invocation, stage=False
             )
-        applied = shared.execute(txn, invocation)
-        recorded = self._record_dependencies(
-            txn, registered, applied, pre_graph, preview
-        )
+        recorded = self._record_dependencies(txn, object_name, applied, verdicts)
         if recorded is None:
             # A cycle: the requester becomes the victim.  Its executed
             # operation is rolled back with the rest of its effects; it
@@ -986,17 +977,16 @@ class TableDrivenScheduler:
         peer.ids.append(op_id)
         peer.mask |= 1 << op_id
 
-    def _active_peers(
-        self, registered: _RegisteredObject, skip: AppliedOperation | None
-    ) -> dict[TxnId, _TxnEntries]:
+    def _active_peers(self, registered: _RegisteredObject) -> dict[TxnId, _TxnEntries]:
         """The object's peer index, rebuilt from the log if stale.
 
         Groups the log entries of every active transaction, in log order
         within each transaction.  The requester's own entries are
         *included* — callers exclude the requesting transaction's key at
         iteration time, which lets the index be maintained incrementally
-        instead of refiltered per request.  ``skip`` names the entry under
-        certification, exactly as in a shadow rebuild.
+        instead of refiltered per request.  It is read before the
+        requested operation runs, so the entry under certification is
+        never in it.
         """
         index = self._peers[registered.shared.name]
         if index.stale:
@@ -1004,8 +994,6 @@ class TableDrivenScheduler:
             txns = self._txns
             by_txn: dict[TxnId, _TxnEntries] = {}
             for entry in registered.shared.log():
-                if entry is skip:
-                    continue
                 t = entry.txn
                 peer = by_txn.get(t)
                 if peer is None:
@@ -1032,7 +1020,7 @@ class TableDrivenScheduler:
         peer: _TxnEntries,
         other_txn: TxnId,
         skip: AppliedOperation | None,
-    ) -> tuple[Dependency, _DepEvidence]:
+    ) -> tuple[Dependency, _DepEvidence, int]:
         """Dependency of the requested operation on one active transaction.
 
         Three sources of evidence, strongest verdict wins:
@@ -1055,7 +1043,9 @@ class TableDrivenScheduler:
 
         Returns the verdict together with its provenance — which earlier
         operation, table entry, condition and evidence source were
-        decisive — for the ``DependencyRecorded`` trace event.
+        decisive — for the ``DependencyRecorded`` trace event, and the
+        number of condition evaluations it took, which the caller adds
+        to the stats where the seed evaluated.
 
         Cells that are unconditional ND are full-state-space forward
         commutativity: the operations can be swapped anywhere in any
@@ -1067,12 +1057,17 @@ class TableDrivenScheduler:
         whole peer transaction is first tested against the requested
         operation's unconditional-ND row in one bitmask operation,
         settling the common no-conflict case with zero per-entry work;
-        the slow path indexes cells by integer id.
+        the slow path indexes cells by integer id.  A condition context is
+        built only for a conditional cell: an unconditional entry's
+        conditions are all ``Always``, which reads no context.  After a
+        table AD the locality kernel is not asked: it could change neither
+        the verdict nor its source.
         """
         stats = self.stats
         entries = peer.entries
         verdict = Dependency.ND
         evidence = _NO_EVIDENCE
+        evaluations = 0
         if matrix.all_nd(inv_id, peer.mask):
             # Every logged operation of the peer sits in an
             # unconditional-ND cell; count one fast-path hit per entry.
@@ -1091,17 +1086,22 @@ class TableDrivenScheduler:
                     continue
                 cell = row + oid
                 entry = table_entries[cell]
-                context = ConditionContext(
-                    first_invocation=earlier.invocation,
-                    second_invocation=invocation,
-                    pre_graph=pre_graph.get(),
-                    first_return=earlier.returned,
-                    second_return=returned,
-                )
+                context = None
                 if codes[cell] == conditional:
-                    stats.condition_evaluations += len(entry.pairs)
+                    evaluations += len(entry.pairs)
+                    context = ConditionContext(
+                        first_invocation=earlier.invocation,
+                        second_invocation=invocation,
+                        pre_graph=pre_graph.get(),
+                        first_return=earlier.returned,
+                        second_return=returned,
+                    )
                 resolved, held = entry.resolve_with_condition(context)
-                from_locality = locality_dependency(earlier.trace, trace)
+                from_locality = (
+                    Dependency.ND
+                    if resolved is Dependency.AD
+                    else locality_dependency(earlier.trace, trace)
+                )
                 pair_verdict = max(resolved, from_locality)
                 if pair_verdict > verdict:
                     verdict = pair_verdict
@@ -1112,61 +1112,33 @@ class TableDrivenScheduler:
                         source="locality" if from_locality > resolved else "table",
                     )
                 if verdict is Dependency.AD:
-                    return Dependency.AD, evidence
+                    return Dependency.AD, evidence, evaluations
         shadow = self._shadow.shadow_return(
             shared.name, shared, invocation, other_txn, skip
         )
         if shadow != returned:
-            return Dependency.AD, _SHADOW_EVIDENCE
-        return verdict, evidence
+            return Dependency.AD, _SHADOW_EVIDENCE, evaluations
+        return verdict, evidence, evaluations
 
     def _record_dependencies(
         self,
         txn: TxnId,
-        registered: _RegisteredObject,
+        object_name: str,
         applied: AppliedOperation,
-        pre_graph: _PreGraph,
-        preview: _PreviewVerdicts | None,
+        verdicts: Iterable[_Verdict],
     ) -> list[tuple[TxnId, Dependency]] | None:
-        """Resolve and record dependencies against earlier active transactions.
+        """Record a granted operation's peer verdicts as dependency edges.
 
-        Returns the recorded (txn, dependency) pairs, or ``None`` when an
-        edge would close a cycle (the caller aborts the requester).
-
-        ``preview`` carries the blocking-policy admission verdicts of the
-        same synchronous request: the preview state cannot have changed
-        (admission and execution happen back to back, with no yield in
-        between), so each verdict — and the condition-evaluation work it
-        stands for — is reused rather than recomputed.
+        Reads ``verdicts`` in transaction order and returns the recorded
+        (txn, dependency) pairs, or ``None`` when an edge would close a
+        cycle (the caller aborts the requester); a lazy stream then
+        decides no later peer.
         """
-        shared, matrix = registered.shared, registered.matrix
-        conflict = self._conflict[shared.name]
+        conflict = self._conflict[object_name]
         nd_fast_before = self.stats.nd_fast_path_hits
-        by_txn = self._active_peers(registered, skip=applied)
-        inv_id = matrix.op_id[applied.invocation.operation]
-        others = sorted(t for t in by_txn if t != txn)
         recorded: list[tuple[TxnId, Dependency]] = []
-        for other_txn in others:
-            reused = preview.verdicts.get(other_txn) if preview else None
-            if reused is not None:
-                dependency, evidence, condition_evaluations = reused
-                self.stats.preview_reuses += 1
-                # Keep the seed counter exact: the seed re-evaluated the
-                # conditions here; account the work the reuse displaced.
-                self.stats.condition_evaluations += condition_evaluations
-            else:
-                dependency, evidence = self._pair_dependency(
-                    shared,
-                    matrix,
-                    inv_id,
-                    applied.invocation,
-                    applied.returned,
-                    applied.trace,
-                    pre_graph,
-                    by_txn[other_txn],
-                    other_txn,
-                    skip=applied,
-                )
+        for other_txn, dependency, evidence, evaluations in verdicts:
+            self.stats.condition_evaluations += evaluations
             if dependency is Dependency.ND:
                 self.stats.nd_pairs += 1
                 conflict.note_dep("ND")
@@ -1186,7 +1158,7 @@ class TableDrivenScheduler:
                         time=self.now,
                         txn=txn,
                         other_txn=other_txn,
-                        object_name=shared.name,
+                        object_name=object_name,
                         invoked=applied.invocation.operation,
                         executing=evidence.executing,
                         dependency=dependency.name,
@@ -1199,82 +1171,46 @@ class TableDrivenScheduler:
         conflict.add_nd_fast(self.stats.nd_fast_path_hits - nd_fast_before)
         return recorded
 
-    def _blocking_conflicts(
+    def _verdicts(
         self,
         txn: TxnId,
         registered: _RegisteredObject,
         invocation: Invocation,
-    ) -> tuple[set[TxnId], _PreviewVerdicts]:
-        """Active transactions whose operations would form an AD with ours.
+        stage: bool,
+    ) -> tuple[AppliedOperation | None, Iterator[_Verdict]]:
+        """Run ``invocation`` and return the run with its verdict stream.
 
-        Stages one run of ``invocation`` on the live graph
+        With ``stage`` the run is staged on the live graph
         (:meth:`~repro.cc.objects.SharedObject.preview_with_trace`): the
-        grant keeps it, and a blocked request undoes it.  Also returns
-        every pair verdict computed along the way, keyed by transaction,
-        for the grant path to reuse.
+        grant keeps it and a blocked request undoes it.  Otherwise it is
+        executed in place and logged, and the logged entry is returned.
+        Either way it runs on the live graph, so the pre-state is read
+        before it, and only when some peer's operation meets a
+        conditional cell of the requested row: only those cells build a
+        condition context.
+
+        The stream yields one :data:`_Verdict` per active peer, in
+        transaction order, and decides each peer only when it is read.
         """
         shared, matrix = registered.shared, registered.matrix
-        nd_fast_before = self.stats.nd_fast_path_hits
-        by_txn = self._active_peers(registered, skip=None)
         inv_id = matrix.op_id[invocation.operation]
-        pre_graph = self._pre_graph(txn, registered, inv_id, by_txn)
-        preview_returned, preview_trace = shared.preview_with_trace(invocation)
+        by_txn = self._active_peers(registered)
         others = sorted(t for t in by_txn if t != txn)
-        blockers: set[TxnId] = set()
-        verdicts: dict[TxnId, tuple[Dependency, _DepEvidence, int]] = {}
-        for other_txn in others:
-            evaluations_before = self.stats.condition_evaluations
-            dependency, evidence = self._pair_dependency(
-                shared,
-                matrix,
-                inv_id,
-                invocation,
-                preview_returned,
-                preview_trace,
-                pre_graph,
-                by_txn[other_txn],
-                other_txn,
-                skip=None,
-            )
-            verdicts[other_txn] = (
-                dependency,
-                evidence,
-                self.stats.condition_evaluations - evaluations_before,
-            )
-            if dependency is Dependency.AD:
-                blockers.add(other_txn)
-            elif dependency is Dependency.CD and self._deps.depends_transitively(
-                other_txn, txn
-            ):
-                # The new commit-order edge would close a cycle (the other
-                # transaction already depends on us).  Under the blocking
-                # discipline we wait for it to resolve rather than abort.
-                blockers.add(other_txn)
-        self._conflict[shared.name].add_nd_fast(
-            self.stats.nd_fast_path_hits - nd_fast_before
+        conditional = matrix.conditional_rows[inv_id]
+        asks = any(by_txn[t].mask & conditional for t in others)
+        pre_graph = _PreGraph(shared.adt, self.stats, shared.state() if asks else None)
+        if stage:
+            applied = None
+            returned, trace = shared.preview_with_trace(invocation)
+        else:
+            applied = shared.execute(txn, invocation)
+            returned, trace = applied.returned, applied.trace
+        run = (shared, matrix, inv_id, invocation, returned, trace, pre_graph)
+        stream = (
+            (other, *self._pair_dependency(*run, by_txn[other], other, applied))
+            for other in others
         )
-        return blockers, _PreviewVerdicts(verdicts=verdicts, pre_graph=pre_graph)
-
-    def _pre_graph(
-        self,
-        txn: TxnId,
-        registered: _RegisteredObject,
-        inv_id: int,
-        by_txn: dict[TxnId, _TxnEntries],
-    ) -> _PreGraph:
-        """The request's pre-state holder, read now if a condition can ask.
-
-        The requested operation runs on the live graph, so its pre-state
-        is read before that run or not at all.  :meth:`_pair_dependency`
-        builds a condition context only for a peer whose operations are
-        not all in the requested operation's unconditional-ND row.
-        """
-        shared, all_nd = registered.shared, registered.matrix.all_nd
-        needed = any(
-            other != txn and not all_nd(inv_id, peer.mask)
-            for other, peer in by_txn.items()
-        )
-        return _PreGraph(shared.adt, self.stats, shared.state() if needed else None)
+        return applied, stream
 
     def _queued_conflicts(self, txn: TxnId, shared: SharedObject) -> set[TxnId]:
         """Every other *active* transaction holding operations on the object.

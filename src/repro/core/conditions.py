@@ -125,15 +125,6 @@ class OutcomeIs(Condition):
         marker = "x" if self.role == "first" else "y"
         return f"{marker}_out = {self.label}"
 
-    def render_for(self, context_names: tuple[str, str]) -> str:
-        """Render with actual operation names, e.g. ``Push_out = nok``."""
-        first_name, second_name = context_names
-        name = first_name if self.role == "first" else second_name
-        suffix = "^x" if self.role == "first" else "^y"
-        if first_name != second_name:
-            suffix = ""
-        return f"{name}_out{suffix} = {self.label}"
-
 
 @dataclass(frozen=True, repr=False)
 class InputsEqual(Condition):

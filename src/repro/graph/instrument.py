@@ -114,37 +114,6 @@ class LocalityTrace:
         """Locality set by short name: ``'so'``, ``'sm'``, ``'co'`` or ``'cm'``."""
         return getattr(self, LOCALITY_FIELDS[name])
 
-    def merge(self, other: "LocalityTrace") -> "LocalityTrace":
-        """Union of two traces (used when aggregating over states/arguments)."""
-        return LocalityTrace(
-            structure_observed=self.structure_observed | other.structure_observed,
-            structure_modified=self.structure_modified | other.structure_modified,
-            content_observed=self.content_observed | other.content_observed,
-            content_modified=self.content_modified | other.content_modified,
-            references_read=self.references_read | other.references_read,
-            references_written=self.references_written | other.references_written,
-        )
-
-    def observes_structure(self) -> bool:
-        """Whether the operation noted the existence/ordering of any vertex."""
-        return bool(self.structure_observed)
-
-    def modifies_structure(self) -> bool:
-        """Whether the operation inserted/deleted vertices or changed order."""
-        return bool(self.structure_modified)
-
-    def observes_content(self) -> bool:
-        """Whether the operation read the content of any vertex."""
-        return bool(self.content_observed)
-
-    def modifies_content(self) -> bool:
-        """Whether the operation changed the content of any vertex."""
-        return bool(self.content_modified)
-
-    def is_pure_observer(self) -> bool:
-        """True when nothing was modified (structure or content)."""
-        return not (self.structure_modified or self.content_modified)
-
 
 class _DiscardSet(set):
     """A set that drops everything added to it.

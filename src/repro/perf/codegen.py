@@ -66,7 +66,9 @@ class ConflictMatrix:
 
     ``nd_rows[invoked_id]`` is the bitmask of executing ids whose cell
     is :data:`ND`, so :meth:`all_nd` settles an entire peer transaction
-    (its operations OR-ed into one mask) in a single integer test.
+    (its operations OR-ed into one mask) in a single integer test;
+    ``conditional_rows[invoked_id]`` is the bitmask of its
+    :data:`CONDITIONAL` cells, the only ones that read a pre-state.
     ``entries`` holds the live :class:`~repro.core.entry.Entry` objects
     flat at the same indices, for the slow path.
 
@@ -79,13 +81,22 @@ class ConflictMatrix:
     NON_ND = 1
     CONDITIONAL = 2
 
-    __slots__ = ("operations", "op_id", "size", "codes", "nd_rows", "entries")
+    __slots__ = (
+        "operations",
+        "op_id",
+        "size",
+        "codes",
+        "nd_rows",
+        "conditional_rows",
+        "entries",
+    )
 
     def __init__(
         self,
         operations: tuple[str, ...],
         codes: bytes,
         nd_rows: tuple[int, ...],
+        conditional_rows: tuple[int, ...],
         entries: tuple[Entry, ...],
     ) -> None:
         self.operations = operations
@@ -93,6 +104,7 @@ class ConflictMatrix:
         self.size = len(operations)
         self.codes = codes
         self.nd_rows = nd_rows
+        self.conditional_rows = conditional_rows
         self.entries = entries
 
     @classmethod
@@ -102,6 +114,7 @@ class ConflictMatrix:
         size = len(operations)
         codes = array("B", bytes(size * size))
         nd_rows = [0] * size
+        conditional_rows = [0] * size
         entries: list[Entry] = []
         for row, invoked in enumerate(operations):
             for column, executing in enumerate(operations):
@@ -109,11 +122,18 @@ class ConflictMatrix:
                 entries.append(entry)
                 if entry.is_conditional:
                     codes[row * size + column] = cls.CONDITIONAL
+                    conditional_rows[row] |= 1 << column
                 elif entry.weakest() is Dependency.ND:
                     nd_rows[row] |= 1 << column
                 else:
                     codes[row * size + column] = cls.NON_ND
-        return cls(operations, bytes(codes), tuple(nd_rows), tuple(entries))
+        return cls(
+            operations,
+            bytes(codes),
+            tuple(nd_rows),
+            tuple(conditional_rows),
+            tuple(entries),
+        )
 
     def all_nd(self, invoked_id: int, executing_mask: int) -> bool:
         """Whether every executing op in ``executing_mask`` is an ND cell."""

@@ -124,10 +124,6 @@ class ServeResult:
         """Committed operations per sim-time unit."""
         return self.goodput_ops / self.sim_duration if self.sim_duration else 0.0
 
-    def committed_per_time(self) -> float:
-        """Committed requests per sim-time unit."""
-        return self.committed / self.sim_duration if self.sim_duration else 0.0
-
 
 class _Runner:
     """One in-flight request: its transaction and progress."""

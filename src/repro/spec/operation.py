@@ -75,11 +75,6 @@ class OperationSpec(abc.ABC):
         locality trace is complete.  Returns the operation's return value.
         """
 
-    def describe(self) -> str:
-        """One-line human description used in reports."""
-        refs = ", ".join(sorted(self.references_used)) or "-"
-        return f"{self.name} (referencing={self.referencing}, refs={refs})"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OperationSpec {self.name}>"
 

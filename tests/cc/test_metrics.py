@@ -110,7 +110,6 @@ class TestHotPathCounterExport:
                 shadow_replays_avoided=9,
                 shadow_full_replays=2,
                 context_reuses=4,
-                preview_reuses=3,
                 nd_fast_path_hits=17,
             )
         )
@@ -118,7 +117,6 @@ class TestHotPathCounterExport:
         assert counters["scheduler_shadow_replays_avoided"] == 9
         assert counters["scheduler_shadow_full_replays"] == 2
         assert counters["scheduler_context_reuses"] == 4
-        assert counters["scheduler_preview_reuses"] == 3
         assert counters["scheduler_nd_fast_path_hits"] == 17
 
     def test_seed_counters_slice(self):

@@ -70,7 +70,8 @@ class TestContentAccess:
         view.trace = LocalityTrace()
         assert view.observe_content(vid) == "x"
         assert view.trace.content_observed == {vid}
-        assert view.trace.is_pure_observer()
+        assert not view.trace.structure_modified
+        assert not view.trace.content_modified
 
 
 class TestStructureObservation:
@@ -144,20 +145,3 @@ class TestLocalityTrace:
         trace = LocalityTrace(structure_observed={7})
         assert trace.kind("so") == {7}
         assert trace.kind("cm") == set()
-
-    def test_merge_unions_everything(self):
-        first = LocalityTrace(structure_observed={1}, references_read={"f"})
-        second = LocalityTrace(content_modified={2}, references_written={"b"})
-        merged = first.merge(second)
-        assert merged.structure_observed == {1}
-        assert merged.content_modified == {2}
-        assert merged.references_read == {"f"}
-        assert merged.references_written == {"b"}
-
-    def test_predicates(self):
-        assert LocalityTrace(structure_observed={1}).observes_structure()
-        assert LocalityTrace(structure_modified={1}).modifies_structure()
-        assert LocalityTrace(content_observed={1}).observes_content()
-        assert LocalityTrace(content_modified={1}).modifies_content()
-        assert LocalityTrace().is_pure_observer()
-        assert not LocalityTrace(content_modified={1}).is_pure_observer()

@@ -176,6 +176,11 @@ def test_matrix_agrees_with_table_entries(adt_name):
             # per-entry loop.
             assert matrix.all_nd(i, 1 << j) == is_nd
             code = matrix.code(i, j)
+            # The conditional mask holds exactly the conditional cells,
+            # so a peer that misses it has no condition to read a
+            # pre-state.
+            conditional = bool(matrix.conditional_rows[i] >> j & 1)
+            assert conditional == source.is_conditional
             entry = matrix.entry_at(i, j)
             if code == ConflictMatrix.CONDITIONAL:
                 assert entry.is_conditional
@@ -204,6 +209,7 @@ def test_all_conflict_matrix_has_empty_nd_masks():
     table = _uniform_table(operations, Dependency.AD)
     matrix = ConflictMatrix.compile(table)
     assert matrix.nd_rows == (0, 0, 0)
+    assert matrix.conditional_rows == (0, 0, 0)
     for i in range(3):
         for j in range(3):
             assert matrix.code(i, j) == ConflictMatrix.NON_ND

@@ -1,9 +1,9 @@
 """Parity: the optimized scheduler is bit-identical to the seed reference.
 
 The hot-path optimizations (incremental shadow states and their
-transition memo, per-request context reuse, preview-verdict memoization,
-integer conflict matrices, the incremental peer index and codegen
-executors — see ``docs/PERFORMANCE.md``) must not change a single
+transition memo, per-request context reuse, one verdict stream per
+request, integer conflict matrices, the incremental peer index and
+codegen executors — see ``docs/PERFORMANCE.md``) must not change a single
 observable decision.  These tests drive identical seeded workloads
 through the optimized :class:`~repro.cc.scheduler.TableDrivenScheduler`
 and the frozen :class:`~repro.cc.reference.ReferenceScheduler` and
@@ -150,22 +150,35 @@ def test_rebuild_fast_paths_preserves_parity():
     assert rebuilt == reference
 
 
-def test_preview_reuse_engages_under_blocking():
+@pytest.mark.parametrize("policy", ["optimistic", "blocking"])
+def test_a_grant_decides_each_active_peer_once(monkeypatch, policy):
+    """Admission and recording read one verdict stream: a granted request
+    calls ``_pair_dependency`` once per active peer, in transaction
+    order, under either policy.  A Deposit after a Withdraw is a
+    conditional cell that resolves to CD, so every peer reaches the
+    slow path and is recorded."""
     adt = make_adt("Account")
-    table = _table(adt)
-    workload = generate(
-        adt,
-        "obj",
-        WorkloadConfig(
-            transactions=6,
-            operations_per_transaction=5,
-            operation_mix={"Deposit": 1.0},
-            seed=9,
-        ),
-    )
-    scheduler = TableDrivenScheduler(policy="blocking")
-    drive(scheduler, adt, table, workload)
-    assert scheduler.stats.preview_reuses > 0
+    scheduler = TableDrivenScheduler(policy=policy)
+    scheduler.register_object("obj", adt, _table(adt))
+    peers = [scheduler.begin() for _ in range(3)]
+    for amount, peer in enumerate(peers, start=1):
+        withdraw = Invocation("Withdraw", (amount,))
+        assert scheduler.request(peer, "obj", withdraw).executed
+    decided = []
+    pair_dependency = scheduler._pair_dependency
+
+    def counting(*args, **kwargs):
+        decided.append(args[8])  # the peer transaction under decision
+        return pair_dependency(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "_pair_dependency", counting)
+    txn = scheduler.begin()
+
+    decision = scheduler.request(txn, "obj", Invocation("Deposit", (5,)))
+
+    assert decision.executed
+    assert [other for other, _ in decision.dependencies] == peers
+    assert decided == peers
 
 
 # ----------------------------------------------------------------------
