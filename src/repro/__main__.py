@@ -444,6 +444,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 + (f"  entry: {firing.entry}" if firing.entry else "")
             )
         return 0
+    if args.verify and any(event.type == "message_sent" for event in events):
+        # Node-local transaction ids collide across shards, so only the
+        # run's global audit can judge a cluster trace.
+        print(
+            "cannot verify a sharded trace: its verdict is the "
+            "`audit:` line of `simulate --shards`",
+            file=sys.stderr,
+        )
+        return 2
     summary = summarize(events)
     print(summary.render())
     if args.verify:

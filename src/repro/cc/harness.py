@@ -21,20 +21,26 @@ yield identical transcripts.  The throughput benchmark times the same
 :func:`drive` call, so the parity gate and the speedup measurement
 exercise exactly the same code path.
 
-Scheduling discipline: up to ``concurrency`` transactions are live at
-once (admitted in program order, so transaction ids match across
-implementations); live transactions are polled round-robin, one action
-per turn — the next unexecuted step, or the commit/abort once steps are
-exhausted.  Blocked operations and commit-waits retry on their next
-turn.  Wait-cycle resolution is the scheduler's job; the harness only
-caps total turns to turn a would-be livelock into a loud failure.
+Scheduling discipline lives in :func:`play`, the one round-robin turn
+loop: :func:`drive` plays it over a
+:class:`~repro.serve.backend.SchedulerBackend`, and
+:meth:`repro.dist.cluster.Cluster.run` plays it over a
+:class:`~repro.dist.cluster.ClusterFrontend`.  Up to ``concurrency``
+transactions are live at once (admitted in program order, so
+transaction ids match across implementations); live transactions are
+polled round-robin, one action per turn — the next unexecuted step, or
+the commit/abort once steps are exhausted.  Blocked operations and
+commit-waits retry on their next turn.  Wait-cycle resolution is the
+scheduler's job; the loop only caps total turns to turn a would-be
+livelock into a loud failure.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from repro.cc.scheduler import OpDecision
+from repro.cc.scheduler import CommitDecision, OpDecision
 from repro.cc.transaction import TransactionStatus, TxnId
 from repro.cc.workload import Workload
 from repro.core.table import CompatibilityTable
@@ -48,9 +54,12 @@ from repro.obs.events import (
 from repro.spec.adt import ADTSpec, AbstractState, render_state
 
 __all__ = [
+    "TRANSIENT_COMMIT",
+    "TRANSIENT_OP",
     "Transcript",
     "drive",
     "inject_scheduler_faults",
+    "play",
     "poison_execution_cache",
 ]
 
@@ -142,16 +151,145 @@ class Transcript:
         )
 
 
+#: The no-decision outcomes of an unreachable or crashed attempt: the
+#: caller retries, and :func:`play` records nothing.  Told apart by
+#: identity, since a real blocked decision may also carry an empty
+#: ``blocked_on``.
+TRANSIENT_OP = OpDecision(executed=False, blocked_on=frozenset())
+TRANSIENT_COMMIT = CommitDecision(committed=False, waiting_on=frozenset())
+
+
 class _Runner:
-    """Progress of one transaction program through the scheduler."""
+    """Progress of one transaction program through the backend."""
 
-    __slots__ = ("txn", "program", "step", "done")
+    __slots__ = ("txn", "program", "objects", "step")
 
-    def __init__(self, txn: TxnId, program) -> None:
+    def __init__(self, txn: TxnId, program, objects) -> None:
         self.txn = txn
         self.program = program
+        self.objects = objects
         self.step = 0
-        self.done = False
+
+
+def _nothing(*_args) -> None:
+    """The default hook: does nothing."""
+
+
+def play(
+    backend,
+    programs,
+    objects,
+    concurrency: int | None = None,
+    max_turns: int | None = None,
+    plan=None,
+    on_round=_nothing,
+    on_turn=_nothing,
+    on_decision=_nothing,
+    on_fault=_nothing,
+):
+    """The round-robin turn loop; returns ``(ops, resolutions, admitted)``.
+
+    Plays ``programs`` (program ``i``'s step ``k`` on object
+    ``objects[i][k]``) through ``backend``'s ``begin`` / ``status`` /
+    ``request`` / ``try_commit`` / ``abort`` and nothing else.  A
+    no-decision outcome (:data:`TRANSIENT_OP` / :data:`TRANSIENT_COMMIT`)
+    is retried like a blocked one and recorded nowhere.  ``on_round()``
+    opens every round, ``on_turn()`` every turn, ``on_decision()``
+    precedes every decision point, and ``on_fault(kind, txn)`` reports
+    each of ``plan``'s per-turn fault points that fires.
+    ``concurrency`` and ``max_turns`` default as :func:`drive` says.
+    """
+    concurrency = len(programs) if concurrency is None else max(1, concurrency)
+    if max_turns is None:
+        max_turns = 1000 * max(1, sum(len(p.steps) for p in programs))
+    ops: list[tuple[TxnId, int, OpDecision]] = []
+    resolutions: list[tuple[TxnId, str, tuple[TxnId, ...]]] = []
+    live: list[_Runner] = []
+    admitted = 0
+
+    def admit() -> None:
+        nonlocal admitted
+        while admitted < len(programs) and len(live) < concurrency:
+            live.append(
+                _Runner(backend.begin(), programs[admitted], objects[admitted])
+            )
+            admitted += 1
+
+    admit()
+    turns = 0
+    while live:
+        on_round()
+        # Snapshot: runners admitted mid-round first act next round, and
+        # removal below cannot skip a peer's turn.
+        for runner in list(live):
+            turns += 1
+            if turns > max_turns:
+                raise SchedulerError(
+                    f"harness exceeded {max_turns} turns; workload livelocked"
+                )
+            on_turn()
+            txn = runner.txn
+            if backend.status(txn) != "ACTIVE":
+                # Aborted from outside its own turn: a cascade, a deadlock
+                # victim, a replay invalidation or a 2PC abort.
+                resolutions.append((txn, "observed-abort", ()))
+                live.remove(runner)
+                continue
+            steps = runner.program.steps
+            if runner.step < len(steps):
+                if plan and plan.spurious_abort(txn):
+                    on_fault("spurious_abort", txn)
+                    extra = backend.abort(txn, "fault-injected")
+                    resolutions.append(
+                        (txn, "fault-abort", tuple(sorted(extra)))
+                    )
+                    live.remove(runner)
+                    continue
+                if plan and plan.op_failure(txn):
+                    # Transient execution failure: retried next turn.
+                    on_fault("op_failure", txn)
+                    continue
+                on_decision()
+                decision = backend.request(
+                    txn,
+                    runner.objects[runner.step],
+                    steps[runner.step].invocation,
+                )
+                if decision is TRANSIENT_OP:
+                    continue
+                ops.append((txn, runner.step, decision))
+                if decision.executed:
+                    runner.step += 1
+                elif decision.aborted:
+                    live.remove(runner)
+                # else: blocked — retry on the next turn.
+                continue
+            if runner.program.voluntary_abort:
+                on_decision()
+                extra = backend.abort(txn, "voluntary")
+                resolutions.append((txn, "voluntary-abort", tuple(sorted(extra))))
+                live.remove(runner)
+                continue
+            if plan and plan.commit_delay(txn) is not None:
+                # The attempt is postponed to the runner's next turn.
+                on_fault("commit_delay", txn)
+                continue
+            on_decision()
+            decision = backend.try_commit(txn)
+            if decision is TRANSIENT_COMMIT:
+                continue
+            if decision.committed:
+                resolutions.append((txn, "committed", ()))
+                live.remove(runner)
+            elif decision.must_abort:
+                resolutions.append((txn, "must-abort", ()))
+                live.remove(runner)
+            else:
+                resolutions.append(
+                    (txn, "commit-waiting", tuple(sorted(decision.waiting_on)))
+                )
+        admit()
+    return ops, resolutions, admitted
 
 
 def drive(
@@ -168,10 +306,12 @@ def drive(
 ) -> Transcript:
     """Run ``workload`` to completion and return the full transcript.
 
-    ``concurrency`` bounds the number of simultaneously live transactions
-    (default: all of them — maximum contention).  ``max_turns`` guards
-    against livelock; the default allows every operation a generous number
-    of blocked retries before failing loudly.
+    :func:`play` over a :class:`~repro.serve.backend.SchedulerBackend`,
+    every step on ``object_name``.  ``concurrency`` bounds the number of
+    simultaneously live transactions (default: all of them — maximum
+    contention).  ``max_turns`` guards against livelock; the default
+    allows every operation a generous number of blocked retries before
+    failing loudly.
 
     ``checkpoint(index, scheduler)`` is invoked before every *decision
     point* (each ``request`` / ``try_commit`` / voluntary ``abort`` call,
@@ -182,119 +322,39 @@ def drive(
     points; both default to ``None``, leaving the driver bit-identical to
     the fault-free harness.
     """
+    # Imported here: ``repro.serve`` imports this module.
+    from repro.serve.backend import SchedulerBackend
+
     scheduler.register_object(object_name, adt, table, initial_state)
-    programs = list(workload.programs)
-    concurrency = len(programs) if concurrency is None else max(1, concurrency)
-    if max_turns is None:
-        max_turns = 1000 * max(1, workload.total_operations())
-
-    ops: list[tuple[TxnId, int, OpDecision]] = []
-    resolutions: list[tuple[TxnId, str, tuple[TxnId, ...]]] = []
-    live: list[_Runner] = []
-    admitted = 0
-    decision_index = 0
-
-    def admit() -> None:
-        nonlocal admitted
-        while admitted < len(programs) and len(live) < concurrency:
-            live.append(_Runner(scheduler.begin(), programs[admitted]))
-            admitted += 1
+    # The checkpoint hook and a crash fault swap a recovered scheduler
+    # into the backend; every later call goes to it.
+    backend = SchedulerBackend(scheduler)
+    decisions = itertools.count()
 
     def at_decision_point() -> None:
-        """Run the checkpoint hook (possibly swapping the scheduler)."""
-        nonlocal scheduler, decision_index
-        if checkpoint is not None:
-            replacement = checkpoint(decision_index, scheduler)
-            if replacement is not None:
-                scheduler = replacement
-        decision_index += 1
+        replacement = checkpoint(next(decisions), backend.scheduler)
+        if replacement is not None:
+            backend.scheduler = replacement
 
-    def emit_fault(kind: str, txn: TxnId = -1, detail: str = "") -> None:
-        if scheduler.tracer:
-            scheduler.tracer.emit(
-                FaultInjected(
-                    time=scheduler.now, kind=kind, txn=txn, detail=detail
-                )
-            )
+    def inject_faults() -> None:
+        backend.scheduler = inject_scheduler_faults(
+            backend.scheduler, fault_plan, backend.scheduler.now
+        )
 
-    admit()
-    turns = 0
-    while live:
-        # Snapshot: runners admitted mid-round first act next round, and
-        # removal below cannot skip a peer's turn.
-        for runner in list(live):
-            turns += 1
-            if turns > max_turns:
-                raise SchedulerError(
-                    f"harness exceeded {max_turns} turns; workload livelocked"
-                )
-            if fault_plan:
-                scheduler = inject_scheduler_faults(
-                    scheduler, fault_plan, scheduler.now
-                )
-            txn = runner.txn
-            status = scheduler.transaction(txn).status
-            if status is not TransactionStatus.ACTIVE:
-                # Aborted from outside its own turn: a cascade, a deadlock
-                # victim, or a replay invalidation.
-                resolutions.append((txn, "observed-abort", ()))
-                runner.done = True
-                live.remove(runner)
-                continue
-            if runner.step < len(runner.program.steps):
-                if fault_plan and fault_plan.spurious_abort(txn):
-                    emit_fault("spurious_abort", txn=txn)
-                    extra = scheduler.abort(txn, reason="fault-injected")
-                    resolutions.append(
-                        (txn, "fault-abort", tuple(sorted(extra)))
-                    )
-                    runner.done = True
-                    live.remove(runner)
-                    continue
-                if fault_plan and fault_plan.op_failure(txn):
-                    # Transient execution failure: the step is retried on
-                    # the runner's next turn.
-                    emit_fault("op_failure", txn=txn)
-                    continue
-                step = runner.program.steps[runner.step]
-                at_decision_point()
-                decision = scheduler.request(txn, object_name, step.invocation)
-                ops.append((txn, runner.step, decision))
-                if decision.executed:
-                    runner.step += 1
-                elif decision.aborted:
-                    runner.done = True
-                    live.remove(runner)
-                # else: blocked — retry on the next turn.
-                continue
-            if runner.program.voluntary_abort:
-                at_decision_point()
-                extra = scheduler.abort(txn, reason="voluntary")
-                resolutions.append((txn, "voluntary-abort", tuple(sorted(extra))))
-                runner.done = True
-                live.remove(runner)
-                continue
-            if fault_plan and fault_plan.commit_delay(txn) is not None:
-                # The attempt is postponed to the runner's next turn.
-                emit_fault("commit_delay", txn=txn)
-                continue
-            at_decision_point()
-            decision = scheduler.try_commit(txn)
-            if decision.committed:
-                resolutions.append((txn, "committed", ()))
-                runner.done = True
-                live.remove(runner)
-            elif decision.must_abort:
-                resolutions.append((txn, "must-abort", ()))
-                runner.done = True
-                live.remove(runner)
-            else:
-                resolutions.append(
-                    (txn, "commit-waiting", tuple(sorted(decision.waiting_on)))
-                )
-                # Retry on the next turn.
-        admit()
+    def emit_fault(kind: str, txn: TxnId) -> None:
+        now = backend.scheduler.now
+        backend.emit(FaultInjected(time=now, kind=kind, txn=txn))
 
+    programs = workload.programs
+    ops, resolutions, admitted = play(
+        backend, programs,
+        [(object_name,) * len(program.steps) for program in programs],
+        concurrency, max_turns, fault_plan,
+        on_turn=inject_faults if fault_plan else _nothing,
+        on_decision=at_decision_point if checkpoint is not None else _nothing,
+        on_fault=emit_fault,
+    )
+    scheduler = backend.scheduler
     edges = tuple(
         sorted(
             (pair, dependency.name)

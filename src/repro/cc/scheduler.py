@@ -396,6 +396,9 @@ class TableDrivenScheduler:
             )
         )
         self._objects: dict[str, _RegisteredObject] = {}
+        #: (id, revision) of a registered table -> its compiled matrix,
+        #: so objects sharing a table share one compile.
+        self._matrices: dict[tuple[int, int], ConflictMatrix] = {}
         #: Per-object incremental peer index.
         self._peers: dict[str, _PeerIndex] = {}
         self._txns: dict[TxnId, Transaction] = {}
@@ -428,15 +431,20 @@ class TableDrivenScheduler:
         """Attach a shared object and the table governing it.
 
         The table is compiled once, here, into the integer-id
-        :class:`~repro.perf.codegen.ConflictMatrix` the hot path reads.
+        :class:`~repro.perf.codegen.ConflictMatrix` the hot path reads;
+        objects registered with the same, unchanged table share it.
         """
         if name in self._objects:
             raise SchedulerError(f"object {name!r} already registered")
         shared = SharedObject(name, adt, initial_state)
+        # Every keyed table stays referenced by its object, so its id
+        # cannot be reused while the key is live.
+        key = (id(table), table.revision)
+        matrix = self._matrices.get(key)
+        if matrix is None:
+            matrix = self._matrices[key] = ConflictMatrix.compile(table)
         self._objects[name] = _RegisteredObject(
-            shared=shared,
-            table=table,
-            matrix=ConflictMatrix.compile(table),
+            shared=shared, table=table, matrix=matrix
         )
         self._peers[name] = _PeerIndex()
         if self.conflict_thresholds is not None:
@@ -922,6 +930,7 @@ class TableDrivenScheduler:
         have been had the fast paths never been corrupted.
         """
         self.execution_cache.clear()
+        self._matrices.clear()
         self._shadow = ShadowStateIndex(
             cache=self.execution_cache, stats=self.stats
         )

@@ -36,6 +36,9 @@ class CompatibilityTable:
         self.operations = list(operations)
         self.name = name
         self._entries: dict[tuple[str, str], Entry] = {}
+        #: Bumped by every :meth:`set_entry`: tells a compiled copy
+        #: whether it is still current.
+        self.revision = 0
         if entries:
             for key, entry in entries.items():
                 self.set_entry(key[0], key[1], entry)
@@ -48,6 +51,7 @@ class CompatibilityTable:
         """Set the entry for ``invoked`` (y, row) following ``executing`` (x)."""
         self._validate(invoked, executing)
         self._entries[(invoked, executing)] = entry
+        self.revision += 1
 
     def entry(self, invoked: str, executing: str) -> Entry:
         """The entry for operation ``invoked`` following ``executing``."""

@@ -20,7 +20,7 @@ protocol must carry across nodes.  The pieces:
   every predecessor has resolved.
 * :class:`~repro.dist.cluster.Cluster` / :func:`~repro.dist.cluster.run_distributed`
   — the deterministic closed-loop driver (the harness's round-robin
-  discipline over the bus); a one-shard run is transcript-identical to
+  turn loop over the bus); a one-shard run is transcript-identical to
   the bare scheduler harness.
 * :mod:`~repro.dist.audit` — stitches per-node histories into one global
   history and re-checks it with the existing serializability machinery.

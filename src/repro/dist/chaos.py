@@ -27,6 +27,7 @@ repr, so even sub-field drift between two runs is loud.
 
 from __future__ import annotations
 
+from repro.cc.workload import Workload
 from repro.robust.chaos import (
     campaign_workload,
     digest,
@@ -36,7 +37,7 @@ from repro.robust.chaos import (
 from repro.robust.faults import FaultPlan, FaultSpec
 
 from repro.dist.audit import audit_global
-from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
+from repro.dist.cluster import Cluster
 from repro.dist.crash import dist_crash_sweep
 
 __all__ = [
@@ -174,56 +175,6 @@ class _KillPrimariesOnce:
         return False
 
 
-def _drive_frontend(
-    cluster: Cluster,
-    workload,
-    seed: int,
-    partition: tuple[int, str, float] | None = None,
-    max_attempts: int = 64,
-) -> None:
-    """Serve ``workload`` txn-by-txn through a :class:`ClusterFrontend`.
-
-    The open-loop driver the partition scenario needs: unlike
-    :meth:`Cluster.run` it exposes a mid-run hook — ``partition=(txn
-    index, node name, duration)`` opens a coordinator↔node partition
-    just before that transaction begins, which the heartbeat detector
-    sees as a dead primary (false suspicion) and fails over while the
-    old primary is still alive.  Outcomes settle through the frontend's
-    at-least-once retry machinery; ``finalize()`` drains the tail.
-    """
-    frontend = ClusterFrontend(cluster)
-    assignments = shard_workload(workload, cluster.shard_names, seed)
-    for index, program in enumerate(workload.programs):
-        if partition is not None and index == partition[0]:
-            cluster.bus.open_partition(
-                frozenset((cluster.coordinator.name, partition[1])),
-                partition[2],
-            )
-        gtxn = frontend.begin()
-        for step_index, step in enumerate(program.steps):
-            shard = assignments[index][step_index]
-            for _ in range(max_attempts):
-                decision = frontend.request(gtxn, shard, step.invocation)
-                if decision.executed or decision.aborted:
-                    break
-                frontend.tick_boundary()
-            if frontend.status(gtxn) != "ACTIVE" or decision.aborted:
-                break
-        if frontend.status(gtxn) != "ACTIVE":
-            continue
-        if program.voluntary_abort:
-            frontend.abort(gtxn, "voluntary")
-            continue
-        for _ in range(max_attempts):
-            commit = frontend.try_commit(gtxn)
-            if commit.committed or commit.must_abort:
-                break
-            frontend.tick_boundary()
-        else:
-            frontend.abort(gtxn, "livelock-guard")
-    frontend.finalize()
-
-
 def _replication_cell_report(cluster: Cluster, gates: dict) -> dict:
     """Common per-scenario evidence: audit, loss, fencing, stats."""
     audit = audit_global(cluster)
@@ -293,7 +244,9 @@ def run_replication_chaos(
         committed-transaction loss, clean audit, and the
         single-primary-per-epoch fencing certificate.
     ``partition_heal``
-        A long coordinator↔primary partition opened mid-serve: the
+        Two :meth:`~repro.dist.cluster.Cluster.run` segments on one
+        cluster — the first half of the programs, then the rest — with
+        a long coordinator↔primary partition opened between them: the
         heartbeat detector falsely suspects the (alive) primary and
         fails over; the partition then heals and serving converges.
     ``duel_fence``
@@ -364,10 +317,11 @@ def run_replication_chaos(
 
         # -- partition_heal: false suspicion, then healing -------------
         part_cluster = replicated(adt, table, shards)
-        _drive_frontend(
-            part_cluster, workload, seed,
-            partition=(transactions // 2, part_cluster.nodes[0].name, 200.0),
-        )
+        half = transactions // 2
+        part_cluster.run(Workload(workload.programs[:half]), seed=seed)
+        link = (part_cluster.coordinator.name, part_cluster.nodes[0].name)
+        part_cluster.bus.open_partition(frozenset(link), 200.0)
+        part_cluster.run(Workload(workload.programs[half:]), seed=seed)
         scenarios["partition_heal"] = _replication_cell_report(
             part_cluster,
             {

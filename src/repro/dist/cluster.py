@@ -2,7 +2,8 @@
 
 This is :func:`repro.cc.harness.drive` lifted over the bus: each shard's
 objects live on one :class:`~repro.dist.node.ParticipantNode`, the
-driver plays every transaction program round-robin (one action per live
+driver plays every transaction program through the harness's one
+round-robin loop, :func:`~repro.cc.harness.play` (one action per live
 transaction per round, admission in program order), and every scheduler
 interaction travels through the :class:`~repro.dist.bus.SimBus` as a
 coordinator RPC.  The observable outcome is a :class:`DistTranscript`,
@@ -15,14 +16,14 @@ node's scheduler see the exact same call sequence as the bare harness
 
 Turn discipline:
 
-* :meth:`Cluster.run` is the harness's round-robin script played through
-  a :class:`ClusterFrontend`, which is the one owner of the per-gtxn 2PC
-  bookkeeping: participants and per-node op sequence numbers, the
-  audit's ``gstatus``/``grecords``/``gstamps``, eager settlement of
-  cascades, and the global deadlock break.  The script itself only
-  calls ``begin``/``status``/``request``/``try_commit``/``abort`` and
-  consults the plan's per-turn fault points (``crash``,
-  ``spurious_abort``, ``op_failure``, ``commit_delay``).
+* :meth:`Cluster.run` plays the loop through a :class:`ClusterFrontend`,
+  which is the one owner of the per-gtxn 2PC bookkeeping: participants
+  and per-node op sequence numbers, the audit's
+  ``gstatus``/``grecords``/``gstamps``, eager settlement of cascades,
+  and the global deadlock break.  The loop itself only calls
+  ``begin``/``status``/``request``/``try_commit``/``abort`` and consults
+  the plan's per-turn fault points (``crash``, ``spurious_abort``,
+  ``op_failure``, ``commit_delay``).
 * Round boundaries (once per round) run the frontend's boundary work:
   replica-group control, reviving crashed endpoints (nodes recover from
   their durable logs and resolve in-doubt transactions with the
@@ -49,11 +50,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from repro.cc.harness import Transcript, _Runner
+from repro.cc.harness import TRANSIENT_COMMIT, TRANSIENT_OP, Transcript, play
 from repro.cc.scheduler import CommitDecision, OpDecision
 from repro.cc.transaction import OperationRecord
 from repro.cc.workload import Workload
-from repro.errors import SchedulerError
 from repro.obs.events import FaultInjected, NodeCrashed, NodeRecovered
 from repro.obs.latency import LatencyRecorder
 from repro.obs.spans import _NO_CONTEXT, SpanEmitter, trace_id_for
@@ -220,6 +220,10 @@ class Cluster:
         self.gstatus: dict[int, str] = {}
         self.grecords: dict[int, list[OperationRecord]] = {}
         self.gstamps: dict[int, int] = {}
+        #: The audit's commit stamps and operation sequence numbers:
+        #: every frontend and every ``run`` on the cluster continues them.
+        self._stamps = itertools.count()
+        self._sequence = itertools.count()
         self.admitted = 0
         self.transcript: DistTranscript | None = None
 
@@ -374,103 +378,20 @@ class Cluster:
     ) -> DistTranscript:
         """Run ``workload`` to completion; the distributed ``drive``.
 
-        The round-robin script of :func:`~repro.cc.harness.drive` played
-        through a :class:`ClusterFrontend`: each turn is one public
-        frontend call or one of the plan's per-turn fault points, each
-        round opens with the frontend's boundary work, and
-        :meth:`ClusterFrontend.finalize` settles the tail.
+        The harness's round-robin loop (:func:`~repro.cc.harness.play`)
+        played through a :class:`ClusterFrontend`: each turn opens with
+        the plan's crash draw, each round with the frontend's boundary
+        work, and :meth:`ClusterFrontend.finalize` settles the tail.
+        Several runs on one cluster continue one audited history.
         """
         frontend = ClusterFrontend(self)
-        programs = list(workload.programs)
-        assignments = shard_workload(workload, self.shard_names, seed)
-        concurrency = (
-            len(programs) if concurrency is None else max(1, concurrency)
+        ops, resolutions, _ = play(
+            frontend, workload.programs,
+            shard_workload(workload, self.shard_names, seed),
+            concurrency, max_turns, self.plan,
+            on_round=frontend._boundary, on_turn=self._draw_crash,
+            on_fault=self._emit_fault,
         )
-        if max_turns is None:
-            max_turns = 1000 * max(1, workload.total_operations())
-        plan = self.plan
-
-        ops: list = []
-        resolutions: list = []
-        live: list[_Runner] = []
-        shards_of: dict[int, tuple[str, ...]] = {}
-        admitted = 0
-
-        def admit() -> None:
-            nonlocal admitted
-            while admitted < len(programs) and len(live) < concurrency:
-                runner = _Runner(frontend.begin(), programs[admitted])
-                shards_of[runner.txn] = assignments[admitted]
-                live.append(runner)
-                admitted += 1
-
-        admit()
-        turns = 0
-        while live:
-            frontend._boundary()
-            for runner in list(live):
-                turns += 1
-                if turns > max_turns:
-                    raise SchedulerError(
-                        f"cluster exceeded {max_turns} turns; "
-                        f"workload livelocked"
-                    )
-                gtxn = runner.txn
-                self._draw_crash()
-                if frontend.status(gtxn) != "ACTIVE":
-                    # Settled from outside its own turn: a cascade, a
-                    # deadlock victim, or a 2PC abort seen elsewhere.
-                    resolutions.append((gtxn, "observed-abort", ()))
-                    live.remove(runner)
-                    continue
-                if runner.step < len(runner.program.steps):
-                    if plan and plan.spurious_abort(gtxn):
-                        self._emit_fault("spurious_abort", gtxn)
-                        others = frontend.abort(gtxn, "fault-injected")
-                        resolutions.append((gtxn, "fault-abort", others))
-                        live.remove(runner)
-                        continue
-                    if plan and plan.op_failure(gtxn):
-                        self._emit_fault("op_failure", gtxn)
-                        continue  # transient: retried next turn
-                    decision = frontend.request(
-                        gtxn,
-                        shards_of[gtxn][runner.step],
-                        runner.program.steps[runner.step].invocation,
-                    )
-                    if decision is _TRANSIENT_OP:
-                        continue  # no decision was observed; retried
-                    ops.append((gtxn, runner.step, decision))
-                    if decision.executed:
-                        runner.step += 1
-                    elif decision.aborted:
-                        # Recorded in the op decision alone, as in the
-                        # harness; the frontend took the other legs down.
-                        live.remove(runner)
-                    continue
-                if runner.program.voluntary_abort:
-                    others = frontend.abort(gtxn, "voluntary")
-                    resolutions.append((gtxn, "voluntary-abort", others))
-                    live.remove(runner)
-                    continue
-                if plan and plan.commit_delay(gtxn) is not None:
-                    self._emit_fault("commit_delay", gtxn)
-                    continue
-                decision = frontend.try_commit(gtxn)
-                if decision is _TRANSIENT_COMMIT:
-                    continue
-                if decision.committed:
-                    resolutions.append((gtxn, "committed", ()))
-                    live.remove(runner)
-                elif decision.must_abort:
-                    resolutions.append((gtxn, "must-abort", ()))
-                    live.remove(runner)
-                else:
-                    resolutions.append(
-                        (gtxn, "commit-waiting",
-                         tuple(sorted(decision.waiting_on)))
-                    )
-            admit()
         frontend.finalize()
 
         edge_map = stitch_edges(self)
@@ -553,14 +474,6 @@ def run_distributed(
     )
 
 
-#: The no-decision outcomes of an unreachable or crashed attempt: the
-#: caller retries, and a script records nothing.  Told apart by
-#: identity, since a real blocked decision may also carry an empty
-#: ``blocked_on``.
-_TRANSIENT_OP = OpDecision(executed=False, blocked_on=frozenset())
-_TRANSIENT_COMMIT = CommitDecision(committed=False, waiting_on=frozenset())
-
-
 class _FrontTxn:
     """Per-transaction 2PC bookkeeping held by the frontend."""
 
@@ -575,11 +488,12 @@ class _FrontTxn:
 class ClusterFrontend:
     """Per-call 2PC submission: the one owner of the cluster's 2PC turns.
 
-    Both drivers go through it: :meth:`Cluster.run` scripts it
-    round-robin, and the :class:`~repro.serve.loop.ServingLoop` begins,
-    requests, and commits transactions one call at a time, in whatever
-    order its batching produces.  Either way the frontend keeps the
-    coordinator bookkeeping:
+    Every cluster driver goes through it: :meth:`Cluster.run` plays the
+    harness's round-robin loop (:func:`~repro.cc.harness.play`) over it,
+    and the :class:`~repro.serve.loop.ServingLoop` begins, requests, and
+    commits transactions one call at a time, in whatever order its
+    batching produces.  Either way the frontend keeps the coordinator
+    bookkeeping:
 
     * participants and per-node operation sequence numbers per gtxn;
     * the coordinator's global wait graph (``note_waiting`` /
@@ -610,8 +524,6 @@ class ClusterFrontend:
         self._txn: dict[int, _FrontTxn] = {}
         self._status: dict[int, str] = {}
         self._listeners: list = []
-        self._stamps = itertools.count()
-        self._sequence = itertools.count()
         #: gtxn -> abort reason, for aborts a fault left incomplete.
         self._unsettled: dict[int, str] = {}
 
@@ -658,7 +570,7 @@ class ClusterFrontend:
         )
         if outcome.status == "unreachable":
             # No decision was observed; the caller retries.
-            return _TRANSIENT_OP
+            return TRANSIENT_OP
         state.participants.add(node_name)
         self._mark_aborted(outcome.others_aborted)
         decision = OpDecision(
@@ -675,7 +587,7 @@ class ClusterFrontend:
                     object_name=object_name,
                     invocation=invocation,
                     returned=outcome.returned,
-                    sequence=next(self._sequence),
+                    sequence=next(cluster._sequence),
                 )
             )
             cluster.coordinator.clear_waiting(gtxn)
@@ -694,7 +606,7 @@ class ClusterFrontend:
         state = self._txn[gtxn]
         if not state.participants:
             # A stepless transaction: nothing anywhere to prepare.
-            cluster.gstamps[gtxn] = next(self._stamps)
+            cluster.gstamps[gtxn] = next(cluster._stamps)
             self._settle(gtxn, "COMMITTED")
             return CommitDecision(committed=True)
         try:
@@ -708,12 +620,12 @@ class ClusterFrontend:
             # The coordinator died mid-protocol: it restarts from its
             # decision log and the caller retries.
             cluster._coordinator_crashed()
-            return _TRANSIENT_COMMIT
+            return TRANSIENT_COMMIT
         if outcome.status == "unreachable":
-            return _TRANSIENT_COMMIT
+            return TRANSIENT_COMMIT
         self._mark_aborted(outcome.others_aborted)
         if outcome.status == "committed":
-            cluster.gstamps[gtxn] = next(self._stamps)
+            cluster.gstamps[gtxn] = next(cluster._stamps)
             self._settle(gtxn, "COMMITTED")
             return CommitDecision(committed=True)
         if outcome.status == "aborted":

@@ -11,7 +11,7 @@ the sharded cluster (PR 5):
 * :mod:`repro.serve.loop` — the event-driven batched engine: many
   in-flight transactions per tick, ready-callback wakeups instead of
   busy-retry, per-phase latency recording.  (Busy-retry round-robin is
-  :func:`repro.cc.harness.drive`, the reference driver.)
+  :func:`repro.cc.harness.play`, the reference drivers' turn loop.)
 * :mod:`repro.serve.adaptive` — per-object policy switching driven by
   PR 6 conflict telemetry, applied at safe epoch boundaries.
 * :mod:`repro.serve.deadline` — per-request deadline budgets and the

@@ -6,8 +6,8 @@ admitted concurrency is actually exercised — and parks blocked or
 commit-waiting transactions until a **ready callback** (the scheduler's
 resolution listener) wakes them.  No busy-retry: a blocked operation is
 re-issued exactly once, after every transaction it waited on has
-resolved.  (The busy-retry round-robin discipline, with its checkpoint
-and fault-plan hooks, is :func:`repro.cc.harness.drive`.)
+resolved.  (The busy-retry round-robin discipline is the turn loop
+:func:`repro.cc.harness.play` behind ``drive`` and ``Cluster.run``.)
 
 The loop runs on its own deterministic sim clock (``tick`` units per
 round), records per-request latency phases (end-to-end, queue-wait,

@@ -19,13 +19,14 @@ import pytest
 
 from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
-from repro.cc.workload import WorkloadConfig, generate
+from repro.cc.workload import Workload, WorkloadConfig, generate
 from repro.core.methodology import derive
 from repro.dist import Cluster, audit_global
 from repro.dist.bus import Message, SimBus
 from repro.dist.node import ParticipantNode
 from repro.experiments import golden
 from repro.robust import FaultPlan, FaultSpec
+from repro.robust.chaos import campaign_workload
 from repro.spec.operation import Invocation
 
 
@@ -137,3 +138,22 @@ def test_blocking_storm_sweep_audits(adts, name, seed):
     cluster = storm_run(adts, name, seed)
     audit = audit_global(cluster)
     assert audit.passed, audit.violations
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("Account", 1991), ("Account", 3), ("QStack", 3)]
+)
+def test_two_runs_on_one_cluster_audit_as_one_history(adts, name, seed):
+    """A second :meth:`Cluster.run` continues the cluster-wide commit
+    stamps and operation sequence numbers the audit orders the stitched
+    history by; restarting them at 0 lets a later commit sort before an
+    earlier one, and the audit finds no serial order."""
+    adt, table = adts[name]
+    workload = campaign_workload(adt, 10, 3, seed)
+    cluster = Cluster(adt, table, shards=2, policy="blocking")
+    cluster.run(Workload(workload.programs[:5]), seed=seed)
+    cluster.run(Workload(workload.programs[5:]), seed=seed)
+    audit = audit_global(cluster)
+    assert audit.passed, audit.violations
+    stamps = list(cluster.gstamps.values())
+    assert len(set(stamps)) == len(stamps)

@@ -220,6 +220,31 @@ def test_all_conflict_matrix_has_empty_nd_masks():
     )
 
 
+def test_objects_sharing_a_table_share_one_compiled_matrix():
+    adt = CounterSpec(ops=("Tick",))
+    table = _uniform_table(["Tick"], Dependency.ND)
+    scheduler = _compiled()
+    scheduler.register_object("a", adt, table)
+    scheduler.register_object("b", adt, table)
+    shared = scheduler._objects["a"].matrix
+    assert scheduler._objects["b"].matrix is shared
+    # A table edited between two registrations is not served the stale
+    # matrix: the later object is certified by the edited entry.
+    table.set_entry("Tick", "Tick", Entry.unconditional(Dependency.AD))
+    scheduler.register_object("c", adt, table)
+    assert scheduler._objects["c"].matrix is not shared
+    assert scheduler._objects["c"].matrix.code(0, 0) == ConflictMatrix.NON_ND
+    t1, t2 = scheduler.begin(), scheduler.begin()
+    tick = Invocation(operation="Tick", args=())
+    assert scheduler.request(t1, "c", tick).executed
+    assert scheduler.request(t2, "c", tick).dependencies
+    # Quarantine recompiles every object's matrix from its table.
+    scheduler.rebuild_fast_paths()
+    rebuilt = scheduler._objects["c"].matrix
+    assert rebuilt is not scheduler._objects["b"].matrix
+    assert rebuilt.code(0, 0) == ConflictMatrix.NON_ND
+
+
 def _compiled() -> TableDrivenScheduler:
     return TableDrivenScheduler(
         policy="optimistic", execution_cache=ExecutionCache()

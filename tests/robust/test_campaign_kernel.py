@@ -144,9 +144,9 @@ class TestGoldenReport:
         "serving":
             "1c12bd5725a176c4c6d895f4bfe39df2caf870bffadcc34b52ea065307c70e1c",
         "replication":
-            "b541afcbbea986bdf9b36ac47aa2d3ade003dbcb6bcafb7aad3b76c76d6f4e8b",
+            "921eadb0d4432f0e7ec9e0c43baef9be583dfd94d68b3ec73d54de3481e37521",
     }
-    WHOLE = "8cdb0787cf40700a1bb292adc07db4fc2277d146f3bf975d898f6b21efd8fc29"
+    WHOLE = "e1443ca9fc103dfc4f6285a212525a5bfcafb8ff1457c577f56386404d036418"
 
     @pytest.fixture(scope="class")
     def report(self, adts):

@@ -194,7 +194,7 @@ class TestTablesCommand:
         assert "Stage 5" in content and "f ≠ b" in content
 
 
-class TestObservabilityCommands:
+class TestTraceCommands:
     def test_simulate_run_header(self, capsys):
         assert main([
             "simulate", "QStack", "--transactions", "6", "--seed", "7",
@@ -259,6 +259,21 @@ class TestObservabilityCommands:
         assert main(["trace", trace_file, "--verify"]) == 0
         out = capsys.readouterr().out
         assert "serializable (from trace): True" in out
+
+    def test_trace_verify_refuses_a_sharded_trace(self, tmp_path, capsys):
+        # Node-local transaction ids collide across shards, so the
+        # single-scheduler verifier cannot judge a cluster trace; the
+        # run's own global audit is the verdict.
+        path = tmp_path / "dist.jsonl"
+        assert main([
+            "simulate", "Account", "--shards", "2", "--seed", "1",
+            "--trace", str(path),
+        ]) == 0
+        assert "audit: passed=True" in capsys.readouterr().out
+        assert main(["trace", str(path), "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "serializable (from trace)" not in captured.out
+        assert "simulate --shards" in captured.err
 
     def test_trace_timeline(self, trace_file, capsys):
         capsys.readouterr()
