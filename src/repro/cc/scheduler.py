@@ -185,7 +185,7 @@ class SchedulerStats:
     #: Shadow states (re)built by a full log replay (a transaction's
     #: first certification, or the first after an abort invalidation).
     shadow_full_replays: int = 0
-    #: Condition contexts of conditional cells that reused the
+    #: Condition contexts of reference-predicate cells that reused the
     #: per-request pre-state graph instead of rebuilding it (the seed
     #: built one per pair, conditional or not).
     context_reuses: int = 0
@@ -262,15 +262,17 @@ _SHADOW_EVIDENCE = _DepEvidence(
 class _PreGraph:
     """The pre-state object graph of one request, built at most once.
 
-    Every conditional cell of a request evaluates its conditions against
-    the same pre-state; the seed rebuilt the graph per pair.  The holder
+    Every reference predicate a request evaluates reads the same
+    pre-state; the seed rebuilt the graph per pair.  The holder
     materialises it on first use and counts each subsequent reuse.
 
     The requested operation runs in place, so the pre-state is read
-    before that run, and only when some peer's operation meets a
-    conditional cell of the requested row (see
+    before that run, and only when some peer's operation meets a cell of
+    the requested row that holds a reference predicate
+    (:attr:`~repro.perf.codegen.ConflictMatrix.pre_state_rows`, see
     :meth:`TableDrivenScheduler._verdicts`); otherwise it is ``None`` and
-    :meth:`get` is never called.
+    :meth:`get` is never called.  Outcome and argument conditions never
+    read it, so their cells get a context without a graph.
     """
 
     __slots__ = ("adt", "pre_state", "stats", "graph")
@@ -1068,9 +1070,11 @@ class TableDrivenScheduler:
         settling the common no-conflict case with zero per-entry work;
         the slow path indexes cells by integer id.  A condition context is
         built only for a conditional cell: an unconditional entry's
-        conditions are all ``Always``, which reads no context.  After a
-        table AD the locality kernel is not asked: it could change neither
-        the verdict nor its source.
+        conditions are all ``Always``, which reads no context.  The
+        context carries the pre-state graph only for a cell holding a
+        reference predicate (``matrix.pre_state_rows``); no other
+        condition reads it.  After a table AD the locality kernel is not
+        asked: it could change neither the verdict nor its source.
         """
         stats = self.stats
         entries = peer.entries
@@ -1086,6 +1090,7 @@ class TableDrivenScheduler:
             table_entries = matrix.entries
             row = inv_id * matrix.size
             nd_row = matrix.nd_rows[inv_id]
+            pre_state_row = matrix.pre_state_rows[inv_id]
             conditional = ConflictMatrix.CONDITIONAL
             ids = peer.ids
             for position, earlier in enumerate(entries):
@@ -1101,7 +1106,11 @@ class TableDrivenScheduler:
                     context = ConditionContext(
                         first_invocation=earlier.invocation,
                         second_invocation=invocation,
-                        pre_graph=pre_graph.get(),
+                        pre_graph=(
+                            pre_graph.get()
+                            if pre_state_row >> oid & 1
+                            else None
+                        ),
                         first_return=earlier.returned,
                         second_return=returned,
                     )
@@ -1194,9 +1203,9 @@ class TableDrivenScheduler:
         grant keeps it and a blocked request undoes it.  Otherwise it is
         executed in place and logged, and the logged entry is returned.
         Either way it runs on the live graph, so the pre-state is read
-        before it, and only when some peer's operation meets a
-        conditional cell of the requested row: only those cells build a
-        condition context.
+        before it, and only when some peer's operation meets a cell of
+        the requested row that holds a reference predicate: only those
+        cells read the pre-state graph.
 
         The stream yields one :data:`_Verdict` per active peer, in
         transaction order, and decides each peer only when it is read.
@@ -1205,8 +1214,8 @@ class TableDrivenScheduler:
         inv_id = matrix.op_id[invocation.operation]
         by_txn = self._active_peers(registered)
         others = sorted(t for t in by_txn if t != txn)
-        conditional = matrix.conditional_rows[inv_id]
-        asks = any(by_txn[t].mask & conditional for t in others)
+        pre_state_row = matrix.pre_state_rows[inv_id]
+        asks = any(by_txn[t].mask & pre_state_row for t in others)
         pre_graph = _PreGraph(shared.adt, self.stats, shared.state() if asks else None)
         if stage:
             applied = None

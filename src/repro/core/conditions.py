@@ -51,7 +51,9 @@ class ConditionContext:
     ``first`` is the operation in execution (the paper's ``x``), ``second``
     the operation that follows (``y``).  ``pre_graph`` is the object graph
     *before either operation runs* — the paper evaluates reference
-    predicates "before the operations are executed".  Return values may be
+    predicates "before the operations are executed"; only conditions that
+    declare :attr:`Condition.reads_pre_state` read it, so the scheduler
+    leaves it ``None`` for every other cell.  Return values may be
     ``None`` while not yet known.
     """
 
@@ -85,6 +87,11 @@ class Condition(abc.ABC):
     #: mutual-consistency check (a condition exploiting more semantics must
     #: carry a weaker dependency).  Composite conditions sum their parts.
     specificity: int = 1
+
+    #: Whether :meth:`evaluate` reads ``context.pre_graph``: true only
+    #: for the reference predicates and composites holding one; outcome
+    #: and argument conditions decide on invocations and returns alone.
+    reads_pre_state = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.render()
@@ -191,6 +198,8 @@ class ReferencesDistinct(Condition):
     first_reference: str
     second_reference: str
 
+    reads_pre_state = True
+
     def evaluate(self, context: ConditionContext) -> Optional[bool]:
         if context.pre_graph is None:
             return None
@@ -210,6 +219,8 @@ class ReferencesEqual(Condition):
 
     first_reference: str
     second_reference: str
+
+    reads_pre_state = True
 
     def evaluate(self, context: ConditionContext) -> Optional[bool]:
         distinct = ReferencesDistinct(
@@ -241,6 +252,10 @@ class And(Condition):
     def specificity(self) -> int:  # type: ignore[override]
         return sum(part.specificity for part in self.parts)
 
+    @property
+    def reads_pre_state(self) -> bool:  # type: ignore[override]
+        return any(part.reads_pre_state for part in self.parts)
+
     def evaluate(self, context: ConditionContext) -> Optional[bool]:
         undecided = False
         for part in self.parts:
@@ -264,6 +279,10 @@ class Not(Condition):
     @property
     def specificity(self) -> int:  # type: ignore[override]
         return self.part.specificity
+
+    @property
+    def reads_pre_state(self) -> bool:  # type: ignore[override]
+        return self.part.reads_pre_state
 
     def evaluate(self, context: ConditionContext) -> Optional[bool]:
         value = self.part.evaluate(context)

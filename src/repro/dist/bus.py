@@ -172,7 +172,7 @@ class SimBus:
 
         ``reliable=True`` skips the whole fault consult (drops, delays,
         duplicates *and* partitions): replication traffic — log
-        shipping, acks, state transfer — models a disk-backed channel
+        shipping and state transfer — models a disk-backed channel
         inside the replica group, and exempting it keeps the
         message-fault streams byte-identical to unreplicated runs.
         """

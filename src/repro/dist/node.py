@@ -146,13 +146,6 @@ class ParticipantNode:
             # RPC already returned; nothing waits for it any more.
             self.stats.stale_replies += 1
             return
-        if message.kind == "replicate-ack":
-            # Watermark advance from a backup; fire-and-forget.
-            if self.group is not None:
-                self.group.note_ack(
-                    message.payload["backup"], message.payload["acked"]
-                )
-            return
         if self.group is not None and self._fence(message):
             return
         handlers = {

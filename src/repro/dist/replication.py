@@ -4,10 +4,16 @@ Each shard's :class:`~repro.dist.node.ParticipantNode` becomes the
 primary of a **replica group**: the primary ships its
 :class:`~repro.robust.decision_log.DecisionLog` records to ``N - 1``
 seeded backups over the existing :class:`~repro.dist.bus.SimBus`
-(pipelined, acked, with a per-backup replication-lag watermark), and a
+(pipelined, with a per-backup replication-lag watermark), and a
 deterministic heartbeat failure detector drives an **epoch-numbered view
 change** that promotes the most-caught-up backup when the primary stays
-unreachable.  Three rules make failover safe:
+unreachable.  No batch is acknowledged by a message: the watermark is
+consumed only at cluster turn boundaries, so the
+:class:`ReplicationManager` reads each live backup's applied count
+there, after draining the replication traffic, and that reading is the
+group's ``acked`` watermark until the next boundary (so
+:class:`~repro.obs.events.LogShipped` ``lag`` is measured against the
+last boundary's watermark).  Three rules make failover safe:
 
 1. **Ship before reply.**  The primary ships every record it logged
    while handling a message *before* the reply externalizes the outcome
@@ -85,7 +91,7 @@ class BackupReplica:
     crash-recovery path runs, so a diverging backup fails loudly instead
     of silently serving garbage.  ``applied`` is the replication
     watermark: the number of primary records this backup has durably
-    applied (and acknowledged).
+    applied, which the manager reads at every boundary.
     """
 
     def __init__(
@@ -138,13 +144,6 @@ class BackupReplica:
                 self.applied += 1
                 self.stats.repl_records_applied += 1
             self.stats.repl_acks += 1
-            self.bus.send(
-                self.name,
-                message.src,
-                "replicate-ack",
-                payload={"backup": self.name, "acked": self.applied},
-                reliable=True,
-            )
         elif message.kind == "replica-read":
             shard = message.payload["object_name"]
             invocation = message.payload["invocation"]
@@ -178,7 +177,8 @@ class ReplicaGroup:
         self.primary = primary
         self.backups: list[BackupReplica] = []
         self.epoch = 0
-        #: Per-backup shipped / acknowledged record watermarks.
+        #: Per-backup shipped record watermarks, and the applied
+        #: watermarks the manager read at the last boundary.
         self.shipped: dict[str, int] = {}
         self.acked: dict[str, int] = {}
         #: Consecutive missed heartbeats (reset by any answered ping).
@@ -298,10 +298,12 @@ class ReplicationManager:
     def boundary(self, mark_aborted) -> None:
         """One control-plane round, run at every cluster turn boundary.
 
-        In order: drain deliverable replication traffic (acks lag one
-        pump), revive crashed backups by state transfer, track
-        heartbeats and hold crashed primaries that have a live backup,
-        promote where the miss threshold is reached, consult the
+        In order: drain deliverable replication traffic, read every
+        live backup's applied watermark into ``acked`` (there is no
+        per-batch ack message: the watermark is consumed only here, so
+        it is read here), revive crashed backups by state transfer,
+        track heartbeats and hold crashed primaries that have a live
+        backup, promote where the miss threshold is reached, consult the
         ``replica_crash`` fault point, then retransmit unacked tails and
         observe replication lag.
         """
@@ -312,20 +314,22 @@ class ReplicationManager:
             group = self.groups[name]
             down = bus.down()
             for backup in group.backups:
-                if backup.name in down:
-                    bus.revive(backup.name)
-                    backup.reseed(group.primary.log.fork())
-                    group.shipped[backup.name] = backup.applied
-                    group.acked[backup.name] = backup.applied
-                    self.stats.node_recoveries += 1
-                    if self.tracer:
-                        self.tracer.emit(
-                            NodeRecovered(
-                                time=bus.now,
-                                node=backup.name,
-                                replayed=backup.applied,
-                            )
+                if backup.name not in down:
+                    group.note_ack(backup.name, backup.applied)
+                    continue
+                bus.revive(backup.name)
+                backup.reseed(group.primary.log.fork())
+                group.shipped[backup.name] = backup.applied
+                group.acked[backup.name] = backup.applied
+                self.stats.node_recoveries += 1
+                if self.tracer:
+                    self.tracer.emit(
+                        NodeRecovered(
+                            time=bus.now,
+                            node=backup.name,
+                            replayed=backup.applied,
                         )
+                    )
         for name in sorted(self.groups):
             group = self.groups[name]
             live = [

@@ -57,6 +57,8 @@ class DistStats:
     # -- replication ---------------------------------------------------
     repl_records_shipped: int = 0
     repl_records_applied: int = 0
+    #: Shipped batches a backup applied (no ack message is sent: the
+    #: manager reads each backup's watermark at the boundary).
     repl_acks: int = 0
     repl_retransmits: int = 0
     heartbeats_sent: int = 0

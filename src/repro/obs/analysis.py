@@ -31,6 +31,7 @@ from repro.obs.events import (
     CommitWaited,
     DeadlockResolved,
     DependencyRecorded,
+    MessageSent,
     ObjectRegistered,
     OpBlocked,
     OpGranted,
@@ -39,6 +40,7 @@ from repro.obs.events import (
     TxnAborted,
     TxnBegun,
     TxnCommitted,
+    TwoPCDecided,
 )
 from repro.obs.tracers import read_trace
 
@@ -167,7 +169,17 @@ def render_event(event: TraceEvent) -> str:
 
 @dataclass
 class TraceSummary:
-    """Aggregate view of one trace."""
+    """Aggregate view of one trace.
+
+    ``transactions``/``committed``/``aborted`` count scheduler
+    transactions.  In a sharded (cluster) trace those are node-local
+    legs: one global transaction begins a leg on every shard it
+    touches, and a leg id is unique only on its own node.  Such a trace
+    is recognised by its bus messages, and ``global_transactions`` (the
+    distinct global ids the messages carry) and ``global_committed``
+    (the coordinator's commit decisions) then hold the global counts;
+    they stay ``None`` for a single-scheduler trace.
+    """
 
     events: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
@@ -178,12 +190,24 @@ class TraceSummary:
     cascades: int = 0
     dependencies_by_kind: dict[str, int] = field(default_factory=dict)
     firings: list[EntryFiring] = field(default_factory=list)
+    global_transactions: int | None = None
+    global_committed: int | None = None
 
     def render(self, top: int = 10) -> str:
-        lines = [
-            f"events={self.events} transactions={self.transactions} "
+        counts = (
+            f"transactions={self.transactions} "
             f"committed={self.committed} aborted={self.aborted} "
-            f"deadlocks={self.deadlocks} cascades={self.cascades}",
+            f"deadlocks={self.deadlocks} cascades={self.cascades}"
+        )
+        if self.global_transactions is None:
+            lines = [f"events={self.events} {counts}"]
+        else:
+            lines = [
+                f"events={self.events} global: committed="
+                f"{self.global_committed}/{self.global_transactions}",
+                f"node-local legs: {counts}",
+            ]
+        lines += [
             "dependencies: " + (
                 " ".join(
                     f"{kind}={count}"
@@ -205,6 +229,8 @@ class TraceSummary:
 def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
     """Compute the :class:`TraceSummary` of a trace."""
     summary = TraceSummary(events=len(events))
+    gtxns: set[int] = set()
+    global_commits: set[int] = set()
     for event in events:
         summary.by_type[event.type] = summary.by_type.get(event.type, 0) + 1
         if isinstance(event, TxnBegun):
@@ -222,6 +248,13 @@ def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
             summary.dependencies_by_kind[event.dependency] = (
                 summary.dependencies_by_kind.get(event.dependency, 0) + 1
             )
+        elif isinstance(event, MessageSent) and event.gtxn >= 0:
+            gtxns.add(event.gtxn)
+        elif isinstance(event, TwoPCDecided) and event.decision == "commit":
+            global_commits.add(event.gtxn)
+    if MessageSent.type in summary.by_type:
+        summary.global_transactions = len(gtxns)
+        summary.global_committed = len(global_commits)
     summary.firings = firing_histogram(events)
     return summary
 

@@ -494,8 +494,8 @@ class LogShipped(TraceEvent):
     """A primary shipped a batch of DecisionLog records to a backup.
 
     ``lag`` is the backup's replication lag *before* this batch: the
-    number of durable primary records the backup had not yet
-    acknowledged (the replication-lag watermark distance).
+    batch's first index minus the backup's applied watermark as the
+    manager last read it, at the previous cluster turn boundary.
     """
 
     type: ClassVar[str] = "log_shipped"

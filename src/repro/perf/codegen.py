@@ -67,8 +67,11 @@ class ConflictMatrix:
     ``nd_rows[invoked_id]`` is the bitmask of executing ids whose cell
     is :data:`ND`, so :meth:`all_nd` settles an entire peer transaction
     (its operations OR-ed into one mask) in a single integer test;
-    ``conditional_rows[invoked_id]`` is the bitmask of its
-    :data:`CONDITIONAL` cells, the only ones that read a pre-state.
+    ``pre_state_rows[invoked_id]`` is the bitmask of its
+    :data:`CONDITIONAL` cells whose entry holds a condition that reads
+    the pre-state graph (a reference predicate, see
+    :attr:`~repro.core.conditions.Condition.reads_pre_state`): only a
+    peer meeting one of these makes the scheduler read the pre-state.
     ``entries`` holds the live :class:`~repro.core.entry.Entry` objects
     flat at the same indices, for the slow path.
 
@@ -87,7 +90,7 @@ class ConflictMatrix:
         "size",
         "codes",
         "nd_rows",
-        "conditional_rows",
+        "pre_state_rows",
         "entries",
     )
 
@@ -96,7 +99,7 @@ class ConflictMatrix:
         operations: tuple[str, ...],
         codes: bytes,
         nd_rows: tuple[int, ...],
-        conditional_rows: tuple[int, ...],
+        pre_state_rows: tuple[int, ...],
         entries: tuple[Entry, ...],
     ) -> None:
         self.operations = operations
@@ -104,7 +107,7 @@ class ConflictMatrix:
         self.size = len(operations)
         self.codes = codes
         self.nd_rows = nd_rows
-        self.conditional_rows = conditional_rows
+        self.pre_state_rows = pre_state_rows
         self.entries = entries
 
     @classmethod
@@ -114,7 +117,7 @@ class ConflictMatrix:
         size = len(operations)
         codes = array("B", bytes(size * size))
         nd_rows = [0] * size
-        conditional_rows = [0] * size
+        pre_state_rows = [0] * size
         entries: list[Entry] = []
         for row, invoked in enumerate(operations):
             for column, executing in enumerate(operations):
@@ -122,7 +125,10 @@ class ConflictMatrix:
                 entries.append(entry)
                 if entry.is_conditional:
                     codes[row * size + column] = cls.CONDITIONAL
-                    conditional_rows[row] |= 1 << column
+                    if any(
+                        pair.condition.reads_pre_state for pair in entry.pairs
+                    ):
+                        pre_state_rows[row] |= 1 << column
                 elif entry.weakest() is Dependency.ND:
                     nd_rows[row] |= 1 << column
                 else:
@@ -131,7 +137,7 @@ class ConflictMatrix:
             operations,
             bytes(codes),
             tuple(nd_rows),
-            tuple(conditional_rows),
+            tuple(pre_state_rows),
             tuple(entries),
         )
 

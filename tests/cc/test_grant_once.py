@@ -12,6 +12,8 @@ the ``adt.abstract_state`` reads and the ``ObjectGraph`` constructions,
 and check that a staged run and a fold never hand out a stale state.
 """
 
+import re
+
 import pytest
 
 from repro.adts.account import AccountSpec
@@ -125,6 +127,25 @@ class TestBlockingGrantExecutesOnce:
         assert len(runs) == 1
         assert len([g for g in reads if g is pre_grant]) == 1
         assert shared.state() == ("b", "c")
+
+    def test_an_outcome_condition_reads_no_pre_state(
+        self, monkeypatch, account
+    ):
+        scheduler, adt, shared = account
+        peer, txn = scheduler.begin(), scheduler.begin()
+        assert scheduler.request(peer, "acct", Invocation("Withdraw", (20,))).executed
+        pre_grant = shared.graph
+        evaluations = scheduler.stats.condition_evaluations
+        reads = count_state_reads(monkeypatch, adt)
+
+        # Balance after Withdraw is conditional on the Withdraw's outcome
+        # only: the cell is evaluated, but it reads no pre-state graph.
+        decision = scheduler.request(txn, "acct", Invocation("Balance"))
+
+        assert decision.executed and decision.dependencies == ()
+        assert decision.returned.result == 10
+        assert scheduler.stats.condition_evaluations > evaluations
+        assert [g for g in reads if g is pre_grant] == []
 
     def test_a_retried_request_previews_afresh(self, monkeypatch, account):
         scheduler, _adt, shared = account
@@ -268,3 +289,37 @@ class TestAdoptionSafety:
         assert shared.baseline == ("a", "b", "c")
         shared.remove_transactions({2})
         assert shared.state() == ("a", "b", "c")
+
+
+class TestPreStateGraphsOnlyForReferencePredicates:
+    """Account's table has outcome conditions only, so a whole simulated
+    run builds no pre-state graph under either policy."""
+
+    @pytest.mark.parametrize("policy", ["blocking", "optimistic"])
+    def test_account_simulation_builds_no_pre_state_graph(
+        self, monkeypatch, capsys, policy
+    ):
+        from repro.__main__ import main
+        from repro.cc import scheduler as scheduler_module
+
+        built = []
+        get = scheduler_module._PreGraph.get
+
+        def counting(holder):
+            if holder.graph is None:
+                built.append(holder.pre_state)
+            return get(holder)
+
+        monkeypatch.setattr(scheduler_module._PreGraph, "get", counting)
+        assert main([
+            "simulate", "Account", "--seed", "3", "--transactions", "24",
+            "--policy", policy, "--metrics-format", "json",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "serializable: True" in out
+        # Conditional cells were resolved, all without a graph.
+        evaluations = re.search(
+            r'"scheduler_condition_evaluations": (\d+)', out
+        )
+        assert int(evaluations.group(1)) > 0
+        assert built == []

@@ -178,6 +178,69 @@ class TestDeterminism:
                 assert backup["applied"] == row["log_records"]
 
 
+class TestWatermarks:
+    """Backups send no per-batch ack; the manager reads each live
+    backup's applied watermark at every boundary."""
+
+    #: Per-shard log lengths of the fault-free seed-5 runs below, as
+    #: the per-batch-ack protocol reported them.
+    LOG_RECORDS = {"Account": (91, 46), "QStack": (70, 52)}
+
+    def test_fault_free_run_sends_no_ack(self, fixture):
+        adt, table = fixture
+        cluster = Cluster(adt, table, shards=2, policy="blocking", replicas=3)
+        kinds = []
+        send = cluster.bus.send
+
+        def counting(src, dst, kind, *args, **kwargs):
+            kinds.append(kind)
+            return send(src, dst, kind, *args, **kwargs)
+
+        cluster.bus.send = counting
+        cluster.run(workload_for(adt, 5), seed=5)
+        assert "replicate" in kinds
+        assert "replicate-ack" not in kinds
+        assert cluster.stats.repl_acks > 0  # applied batches still count
+        assert cluster.stats.repl_retransmits == 0
+        expected = {}
+        for index, records in enumerate(self.LOG_RECORDS[adt.name]):
+            expected[f"shard{index}"] = {
+                "primary": f"node{index}",
+                "epoch": 0,
+                "log_records": records,
+                "backups": {
+                    f"node{index}b{b}": {
+                        "applied": records, "acked": records, "lag": 0,
+                    }
+                    for b in (1, 2)
+                },
+            }
+        assert cluster.replication.lag_report() == expected
+
+    def test_backup_crashed_between_boundaries_catches_up(self, fixture):
+        from repro.robust import FaultPlan, FaultSpec
+
+        adt, table = fixture
+        # A backup crashed at one boundary stays down until the next,
+        # missing the batches its primary logs meanwhile; that boundary
+        # revives it by state transfer, and the run ends fully caught up.
+        cluster = Cluster(
+            adt, table, shards=2, policy="blocking", replicas=3,
+            fault_plan=FaultPlan(3, FaultSpec(replica_crash_rate=0.3)),
+        )
+        cluster.run(workload_for(adt, 3), seed=3)
+        assert cluster.stats.replica_crashes == 2
+        assert cluster.stats.node_recoveries == 2
+        assert cluster.stats.view_changes == 0
+        # A live backup's boundary reading is never behind what it
+        # applied, so nothing is re-shipped.
+        assert cluster.stats.repl_retransmits == 0
+        for row in cluster.replication.lag_report().values():
+            for backup in row["backups"].values():
+                assert backup["lag"] == 0
+                assert backup["applied"] == row["log_records"]
+
+
 class TestFailover:
     def run_with_kills(self, adt, table, seed):
         cluster = Cluster(

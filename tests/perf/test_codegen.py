@@ -27,6 +27,12 @@ from typing import Any, Iterable, Mapping
 import pytest
 
 from repro.adts.registry import builtin_names, make_adt
+from repro.core.conditions import (
+    And,
+    Not,
+    ReferencesDistinct,
+    ReferencesEqual,
+)
 from repro.core.dependency import Dependency
 from repro.core.entry import Entry
 from repro.core.methodology import derive
@@ -153,6 +159,17 @@ def _uniform_table(operations, dependency: Dependency) -> CompatibilityTable:
 # ----------------------------------------------------------------------
 
 
+def _holds_reference_predicate(condition) -> bool:
+    """Whether a reference predicate occurs anywhere in ``condition``."""
+    if isinstance(condition, (ReferencesEqual, ReferencesDistinct)):
+        return True
+    if isinstance(condition, And):
+        return any(_holds_reference_predicate(part) for part in condition.parts)
+    if isinstance(condition, Not):
+        return _holds_reference_predicate(condition.part)
+    return False
+
+
 @pytest.mark.parametrize("adt_name", builtin_names())
 def test_matrix_agrees_with_table_entries(adt_name):
     adt = make_adt(adt_name)
@@ -176,11 +193,16 @@ def test_matrix_agrees_with_table_entries(adt_name):
             # per-entry loop.
             assert matrix.all_nd(i, 1 << j) == is_nd
             code = matrix.code(i, j)
-            # The conditional mask holds exactly the conditional cells,
-            # so a peer that misses it has no condition to read a
-            # pre-state.
-            conditional = bool(matrix.conditional_rows[i] >> j & 1)
-            assert conditional == source.is_conditional
+            # The pre-state mask holds exactly the cells with a
+            # reference predicate, the only conditions that read the
+            # pre-state graph, so a peer that misses it has no condition
+            # to read a pre-state; all of them are conditional cells.
+            pre_state = bool(matrix.pre_state_rows[i] >> j & 1)
+            assert pre_state == any(
+                _holds_reference_predicate(pair.condition)
+                for pair in source.pairs
+            )
+            assert not pre_state or code == ConflictMatrix.CONDITIONAL
             entry = matrix.entry_at(i, j)
             if code == ConflictMatrix.CONDITIONAL:
                 assert entry.is_conditional
@@ -209,7 +231,7 @@ def test_all_conflict_matrix_has_empty_nd_masks():
     table = _uniform_table(operations, Dependency.AD)
     matrix = ConflictMatrix.compile(table)
     assert matrix.nd_rows == (0, 0, 0)
-    assert matrix.conditional_rows == (0, 0, 0)
+    assert matrix.pre_state_rows == (0, 0, 0)
     for i in range(3):
         for j in range(3):
             assert matrix.code(i, j) == ConflictMatrix.NON_ND

@@ -144,9 +144,9 @@ class TestGoldenReport:
         "serving":
             "1c12bd5725a176c4c6d895f4bfe39df2caf870bffadcc34b52ea065307c70e1c",
         "replication":
-            "921eadb0d4432f0e7ec9e0c43baef9be583dfd94d68b3ec73d54de3481e37521",
+            "15d39958834f655a79087f3055af465902305d3fd059dd227bbd645665baad3b",
     }
-    WHOLE = "e1443ca9fc103dfc4f6285a212525a5bfcafb8ff1457c577f56386404d036418"
+    WHOLE = "c1e160528e87df7129afbd12ff31d7d8b5929424c0eaa3fc7b3a1d048eb3d1e9"
 
     @pytest.fixture(scope="class")
     def report(self, adts):

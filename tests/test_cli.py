@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -274,6 +276,25 @@ class TestTraceCommands:
         captured = capsys.readouterr()
         assert "serializable (from trace)" not in captured.out
         assert "simulate --shards" in captured.err
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_trace_summary_of_a_sharded_trace_counts_global_txns(
+        self, tmp_path, capsys, seed
+    ):
+        # The summary reports the run's own global outcome, and labels
+        # the per-shard scheduler counts as node-local legs.
+        path = tmp_path / "dist.jsonl"
+        assert main([
+            "simulate", "Account", "--shards", "2", "--seed", str(seed),
+            "--trace", str(path),
+        ]) == 0
+        simulated = re.search(
+            r"distributed: committed=(\d+/\d+)", capsys.readouterr().out
+        ).group(1)
+        assert main(["trace", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f" global: committed={simulated}")
+        assert lines[1].startswith("node-local legs: transactions=")
 
     def test_trace_timeline(self, trace_file, capsys):
         capsys.readouterr()
