@@ -422,6 +422,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"cannot read trace: {error}", file=sys.stderr)
         return 2
+    sharded = any(event.type == "message_sent" for event in events)
+    if args.timeline is not None and sharded:
+        # Node-local transaction ids collide across shards, so one id
+        # names a different global transaction's leg on every shard.
+        print(
+            "cannot show a timeline of a sharded trace: transaction ids "
+            "are node-local and collide across shards",
+            file=sys.stderr,
+        )
+        return 2
     if args.timeline is not None:
         timeline = transaction_timeline(events, args.timeline)
         if not timeline:
@@ -444,7 +454,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 + (f"  entry: {firing.entry}" if firing.entry else "")
             )
         return 0
-    if args.verify and any(event.type == "message_sent" for event in events):
+    if args.verify and sharded:
         # Node-local transaction ids collide across shards, so only the
         # run's global audit can judge a cluster trace.
         print(

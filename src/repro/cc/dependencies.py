@@ -12,6 +12,12 @@ dependency recorded between the two:
 Because edges follow execution order, the graph is acyclic by
 construction; :meth:`DependencyGraph.add` still verifies this so that a
 faulty scheduler fails loudly rather than deadlocking silently.
+
+Edges are never removed, so a query that scanned every recorded edge
+would cost more the longer a run gets.  Per-transaction out- and
+in-maps index the edges instead: predecessors, dependents and
+reachability read only the edges incident to the transactions they
+visit.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ class DependencyGraph:
     def __init__(self) -> None:
         #: (later, earlier) -> strongest dependency recorded for the pair
         self._edges: dict[tuple[TxnId, TxnId], Dependency] = {}
+        #: later -> {earlier: dependency} and earlier -> {later:
+        #: dependency}: the same edges, indexed by endpoint, each inner
+        #: map in the pair's first-insertion order.
+        self._out: dict[TxnId, dict[TxnId, Dependency]] = {}
+        self._in: dict[TxnId, dict[TxnId, Dependency]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -54,8 +65,10 @@ class DependencyGraph:
                 f"adding {later}->{earlier} would close a dependency cycle"
             )
         key = (later, earlier)
-        current = self._edges.get(key, Dependency.ND)
-        self._edges[key] = max(current, dependency)
+        strongest = max(self._edges.get(key, Dependency.ND), dependency)
+        self._edges[key] = strongest
+        self._out.setdefault(later, {})[earlier] = strongest
+        self._in.setdefault(earlier, {})[later] = strongest
 
     # ------------------------------------------------------------------
     # Queries
@@ -67,25 +80,17 @@ class DependencyGraph:
 
     def predecessors(self, txn: TxnId) -> dict[TxnId, Dependency]:
         """Transactions ``txn`` depends on, with the dependency kind."""
-        return {
-            earlier: dependency
-            for (later, earlier), dependency in self._edges.items()
-            if later == txn
-        }
+        return dict(self._out.get(txn, {}))
 
     def dependents(self, txn: TxnId) -> dict[TxnId, Dependency]:
         """Transactions that depend on ``txn``, with the dependency kind."""
-        return {
-            later: dependency
-            for (later, earlier), dependency in self._edges.items()
-            if earlier == txn
-        }
+        return dict(self._in.get(txn, {}))
 
     def abort_dependents(self, txn: TxnId) -> set[TxnId]:
         """Direct AD-dependents of ``txn`` (one cascade step)."""
         return {
             later
-            for later, dependency in self.dependents(txn).items()
+            for later, dependency in self._in.get(txn, {}).items()
             if dependency is Dependency.AD
         }
 
@@ -114,15 +119,6 @@ class DependencyGraph:
         """Whether ``later`` reaches ``earlier`` along dependency edges."""
         return self._reachable(later, earlier)
 
-    def drop(self, txn: TxnId) -> None:
-        """Remove every edge incident to ``txn`` (after it is resolved and
-        its constraints have been consumed)."""
-        self._edges = {
-            key: dependency
-            for key, dependency in self._edges.items()
-            if txn not in key
-        }
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -135,8 +131,8 @@ class DependencyGraph:
             node = frontier.pop()
             if node == goal:
                 return True
-            for (later, earlier) in self._edges:
-                if later == node and earlier not in seen:
+            for earlier in self._out.get(node, ()):
+                if earlier not in seen:
                     seen.add(earlier)
                     frontier.append(earlier)
         return False

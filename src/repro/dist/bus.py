@@ -5,6 +5,10 @@ nodes.  It is seeded and clock-free in the same sense as the rest of the
 stack: sim-time only advances when a message carries latency (a fault)
 or an RPC waits out a timeout, so a fault-free one-shard run makes the
 exact same scheduler calls in the exact same order as the bare harness.
+Replica groups do not ship their logs over it: a primary's backups
+apply its decision log directly (:mod:`repro.dist.replication`), so
+every message, heartbeats and observer reads included, takes the fault
+consult below.
 
 Per sent message the bus consults the :class:`~repro.robust.faults.FaultPlan`
 message-level fault points, in a fixed order:
@@ -166,17 +170,9 @@ class SimBus:
         request_id: str = "",
         span: tuple = _NO_CONTEXT,
         deadline: float = 0.0,
-        reliable: bool = False,
     ) -> None:
-        """Enqueue one message, consulting the message fault points.
-
-        ``reliable=True`` skips the whole fault consult (drops, delays,
-        duplicates *and* partitions): replication traffic — log
-        shipping and state transfer — models a disk-backed channel
-        inside the replica group, and exempting it keeps the
-        message-fault streams byte-identical to unreplicated runs.
-        """
-        plan = None if reliable else self.plan
+        """Enqueue one message, consulting the message fault points."""
+        plan = self.plan
         extra_latency = 0.0
         duplicate = False
         if self.epoch_stamp is not None:
@@ -189,7 +185,7 @@ class SimBus:
             if opened is not None:
                 pick, duration = opened
                 self.open_partition(self.partition_links[pick], duration)
-        if not reliable and self._partitions:
+        if self._partitions:
             link = frozenset((src, dst))
             heals_at = self._partitions.get(link)
             if heals_at is not None:

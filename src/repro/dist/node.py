@@ -162,11 +162,10 @@ class ParticipantNode:
             )
         reply = handler(message)
         if self.group is not None:
-            # Ship before reply: the replicate messages take lower bus
-            # sequence numbers than the reply, so every backup applies
-            # this handler's log records before the outcome is
-            # externalized — a promoted backup can never miss a record
-            # whose effect the coordinator already observed.
+            # Ship before reply: every live backup applies this
+            # handler's log records before the reply is enqueued, so a
+            # promoted backup can never miss a record whose effect the
+            # coordinator already observed.
             self.group.ship()
         self.bus.send(
             self.name,

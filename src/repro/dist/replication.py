@@ -3,23 +3,27 @@
 Each shard's :class:`~repro.dist.node.ParticipantNode` becomes the
 primary of a **replica group**: the primary ships its
 :class:`~repro.robust.decision_log.DecisionLog` records to ``N - 1``
-seeded backups over the existing :class:`~repro.dist.bus.SimBus`
-(pipelined, with a per-backup replication-lag watermark), and a
-deterministic heartbeat failure detector drives an **epoch-numbered view
-change** that promotes the most-caught-up backup when the primary stays
-unreachable.  No batch is acknowledged by a message: the watermark is
-consumed only at cluster turn boundaries, so the
-:class:`ReplicationManager` reads each live backup's applied count
-there, after draining the replication traffic, and that reading is the
-group's ``acked`` watermark until the next boundary (so
-:class:`~repro.obs.events.LogShipped` ``lag`` is measured against the
-last boundary's watermark).  Three rules make failover safe:
+seeded backups, and a deterministic heartbeat failure detector drives an
+**epoch-numbered view change** that promotes the most-caught-up backup
+when the primary stays unreachable.  The replication channel is the
+durable log itself, not the :class:`~repro.dist.bus.SimBus`: recovery
+is deterministic replay of that log, so a backup needs the records
+*applied*, not messaged, and :meth:`ReplicaGroup.ship` hands each live
+backup its unshipped tail directly (:meth:`BackupReplica.receive`, a
+verified replay of every record).  The channel neither drops, delays nor
+reorders, so it draws nothing from the fault plan.  No batch is
+acknowledged either: the watermark is consumed only at cluster turn
+boundaries, so the :class:`ReplicationManager` reads each live backup's
+applied count there, and that reading is the group's ``acked`` watermark
+until the next boundary (so :class:`~repro.obs.events.LogShipped`
+``lag`` is measured against the last boundary's watermark).  Three rules
+make failover safe:
 
 1. **Ship before reply.**  The primary ships every record it logged
    while handling a message *before* the reply externalizes the outcome
-   (replicate messages are enqueued ahead of the reply, and the bus
-   delivers in ``(deliver_at, seq)`` order), so no outcome is ever
-   observable whose durable evidence lives only on the primary.  A
+   (every live backup applies the tail inside the primary's handler,
+   before the reply is enqueued), so no outcome is ever observable
+   whose durable evidence lives only on the primary.  A
    record logged by a handler that crashed mid-call was never
    externalized, so a promoted backup missing it is consistent — the
    coordinator saw a timeout and retries or presumes abort.
@@ -126,25 +130,32 @@ class BackupReplica:
             apply_record(self.sched, log, record, index)
         self.applied = len(log.records)
 
+    def receive(self, start: int, records) -> None:
+        """Append and apply the primary's records from index ``start``.
+
+        Every record runs :func:`~repro.robust.decision_log.apply_record`
+        with verification on, so a record that diverges from what this
+        replica computes raises :class:`~repro.errors.RecoveryError`
+        here, inside the primary's handler and before its reply.
+        """
+        if start > self.applied:
+            # A gap: records between our watermark and this batch were
+            # lost to a crash on our side.  Ignore the batch; the
+            # boundary state transfer re-seeds us whole.
+            return
+        for offset, record in enumerate(records):
+            index = start + offset
+            if index < self.applied:
+                continue  # duplicate of an already-applied record
+            self.log.records.append(record)
+            apply_record(self.sched, self.log, record, index)
+            self.applied += 1
+            self.stats.repl_records_applied += 1
+        self.stats.repl_acks += 1
+
     def handle(self, message) -> None:
-        """Bus endpoint: apply shipped records, serve observer reads."""
-        if message.kind == "replicate":
-            start = message.payload["from"]
-            if start > self.applied:
-                # A gap: records between our watermark and this batch
-                # were lost to a crash on our side.  Ignore the batch;
-                # the boundary state transfer re-seeds us whole.
-                return
-            for offset, record in enumerate(message.payload["records"]):
-                index = start + offset
-                if index < self.applied:
-                    continue  # duplicate of an already-applied record
-                self.log.records.append(record)
-                apply_record(self.sched, self.log, record, index)
-                self.applied += 1
-                self.stats.repl_records_applied += 1
-            self.stats.repl_acks += 1
-        elif message.kind == "replica-read":
+        """Bus endpoint: serve observer reads."""
+        if message.kind == "replica-read":
             shard = message.payload["object_name"]
             invocation = message.payload["invocation"]
             returned = self.sched.object(shard).preview(invocation)
@@ -197,10 +208,10 @@ class ReplicaGroup:
     def ship(self) -> None:
         """Ship the primary's unshipped log tail to every live backup.
 
-        Called by the primary after handling each message, *before* the
-        reply is sent (the replicate messages take lower bus sequence
-        numbers than the reply, so backups apply them first), and by the
-        manager at boundaries to push tails written outside handlers.
+        Each backup applies its tail before this returns.  Called by the
+        primary after handling each message, *before* the reply is
+        enqueued, and by the manager at boundaries to push tails written
+        outside handlers.
         """
         node = self.primary
         total = len(node.log.records)
@@ -223,15 +234,9 @@ class ReplicaGroup:
                         lag=start - self.acked[backup.name],
                     )
                 )
-            node.bus.send(
-                node.name,
-                backup.name,
-                "replicate",
-                payload={"from": start, "records": batch},
-                reliable=True,
-            )
             node.stats.repl_records_shipped += len(batch)
             self.shipped[backup.name] = total
+            backup.receive(start, batch)
 
 
 class ReplicationManager:
@@ -298,17 +303,22 @@ class ReplicationManager:
     def boundary(self, mark_aborted) -> None:
         """One control-plane round, run at every cluster turn boundary.
 
-        In order: drain deliverable replication traffic, read every
-        live backup's applied watermark into ``acked`` (there is no
-        per-batch ack message: the watermark is consumed only here, so
-        it is read here), revive crashed backups by state transfer,
-        track heartbeats and hold crashed primaries that have a live
-        backup, promote where the miss threshold is reached, consult the
+        In order: deliver the messages already due, read every live
+        backup's applied watermark into ``acked`` (there is no per-batch
+        ack message: the watermark is consumed only here, so it is read
+        here), revive crashed backups by state transfer, track
+        heartbeats and hold crashed primaries that have a live backup,
+        promote where the miss threshold is reached, consult the
         ``replica_crash`` fault point, then retransmit unacked tails and
         observe replication lag.
         """
         cluster = self.cluster
         bus = cluster.bus
+        # Replication needs no pumping (backups apply inside ``ship``),
+        # but this drain also delivers every other message already due
+        # under message faults — a delayed or duplicated 2PC leg, a
+        # stale reply — before the heartbeats and the fault draws below,
+        # so the round sees the same bus it always has.
         bus._pump("~repl-drain", "", bus.now)
         for name in sorted(self.groups):
             group = self.groups[name]

@@ -19,6 +19,7 @@ The replication layer's contracts, each tested on its own:
   in-doubt transaction to the logged decision.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -31,6 +32,7 @@ from repro.dist import run_distributed
 from repro.dist.audit import audit_global
 from repro.dist.chaos import _KillPrimariesOnce, run_replication_chaos
 from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
+from repro.errors import RecoveryError
 from repro.experiments import golden
 from repro.spec.operation import Invocation
 
@@ -179,16 +181,17 @@ class TestDeterminism:
 
 
 class TestWatermarks:
-    """Backups send no per-batch ack; the manager reads each live
-    backup's applied watermark at every boundary."""
+    """Log records reach backups off the bus and no batch is acked; the
+    manager reads each live backup's applied watermark at every
+    boundary."""
 
     #: Per-shard log lengths of the fault-free seed-5 runs below, as
     #: the per-batch-ack protocol reported them.
     LOG_RECORDS = {"Account": (91, 46), "QStack": (70, 52)}
 
-    def test_fault_free_run_sends_no_ack(self, fixture):
-        adt, table = fixture
-        cluster = Cluster(adt, table, shards=2, policy="blocking", replicas=3)
+    @staticmethod
+    def sent_kinds(cluster) -> list:
+        """The kind of every message the cluster's bus sends from now on."""
         kinds = []
         send = cluster.bus.send
 
@@ -197,8 +200,16 @@ class TestWatermarks:
             return send(src, dst, kind, *args, **kwargs)
 
         cluster.bus.send = counting
+        return kinds
+
+    def test_fault_free_run_sends_no_ack(self, fixture):
+        adt, table = fixture
+        cluster = Cluster(adt, table, shards=2, policy="blocking", replicas=3)
+        kinds = self.sent_kinds(cluster)
         cluster.run(workload_for(adt, 5), seed=5)
-        assert "replicate" in kinds
+        # Backups apply the log directly: neither a batch nor an ack
+        # crosses the bus.
+        assert "replicate" not in kinds
         assert "replicate-ack" not in kinds
         assert cluster.stats.repl_acks > 0  # applied batches still count
         assert cluster.stats.repl_retransmits == 0
@@ -216,6 +227,40 @@ class TestWatermarks:
                 },
             }
         assert cluster.replication.lag_report() == expected
+
+    def test_tampered_record_fails_in_ship_before_the_reply(self):
+        # Every shipped record is verified as it reaches a backup: a
+        # record whose logged return value the backup's own replay does
+        # not reproduce raises inside ship(), before the primary
+        # enqueues its reply.
+        adt = AccountSpec()
+        cluster = Cluster(
+            adt, derive(adt).final_table, shards=1, policy="blocking",
+            replicas=2,
+        )
+        primary = cluster.nodes[0]
+        group = primary.group
+        ship = group.ship
+
+        def tamper_then_ship():
+            records = primary.log.records
+            last = records[-1]
+            assert last.kind == "request" and last.outcome == "executed"
+            records[-1] = dataclasses.replace(last, returned="'tampered'")
+            ship()
+
+        group.ship = tamper_then_ship
+        kinds = self.sent_kinds(cluster)
+        frontend = ClusterFrontend(cluster)
+        gtxn = frontend.begin()
+        with pytest.raises(RecoveryError, match="tampered"):
+            frontend.request(
+                gtxn, cluster.shard_names[0],
+                Invocation(operation="Balance", args=()),
+            )
+        assert kinds == ["op"]
+        (backup,) = group.backups
+        assert backup.applied == len(primary.log.records) - 1
 
     def test_backup_crashed_between_boundaries_catches_up(self, fixture):
         from repro.robust import FaultPlan, FaultSpec

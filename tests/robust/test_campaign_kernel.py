@@ -144,9 +144,9 @@ class TestGoldenReport:
         "serving":
             "1c12bd5725a176c4c6d895f4bfe39df2caf870bffadcc34b52ea065307c70e1c",
         "replication":
-            "15d39958834f655a79087f3055af465902305d3fd059dd227bbd645665baad3b",
+            "cdc6e72efc625caa5dc45ed6959224dd31beeb4ea25da3c6986dc082e71ee358",
     }
-    WHOLE = "c1e160528e87df7129afbd12ff31d7d8b5929424c0eaa3fc7b3a1d048eb3d1e9"
+    WHOLE = "14dba955ac95643eeb4c1a17bca8f14cef1d7addac9dcd752d95a239b66d119f"
 
     @pytest.fixture(scope="class")
     def report(self, adts):

@@ -277,6 +277,21 @@ class TestTraceCommands:
         assert "serializable (from trace)" not in captured.out
         assert "simulate --shards" in captured.err
 
+    def test_trace_timeline_refuses_a_sharded_trace(self, tmp_path, capsys):
+        # Node-local txn 2 is a leg of a different global transaction on
+        # each shard; a merged timeline would interleave the two.
+        path = tmp_path / "dist.jsonl"
+        assert main([
+            "simulate", "Account", "--shards", "2", "--seed", "1",
+            "--trace", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(path), "--timeline", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "sharded trace" in captured.err
+
     @pytest.mark.parametrize("seed", [1, 4])
     def test_trace_summary_of_a_sharded_trace_counts_global_txns(
         self, tmp_path, capsys, seed
