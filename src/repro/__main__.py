@@ -337,6 +337,13 @@ def _chaos_passed(report: dict) -> bool:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.robust import FaultSpec, render_report, run_chaos
 
+    if args.replication and max(args.shards) < 2:
+        print(
+            "chaos: error: --replication needs a --shards count of at "
+            "least 2 (one shard cannot fail over under the partition)",
+            file=sys.stderr,
+        )
+        return 2
     adts = {}
     for name in args.adts:
         adt = make_adt(name)

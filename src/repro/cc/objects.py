@@ -149,10 +149,6 @@ class SharedObject:
         """A copy of the operation log in execution order."""
         return list(self._log)
 
-    def operations_of(self, txn: TxnId) -> list[AppliedOperation]:
-        """Log entries belonging to one transaction."""
-        return [entry for entry in self._log if entry.txn == txn]
-
     def active_writers(self, exclude: TxnId) -> set[TxnId]:
         """Transactions (other than ``exclude``) present in the log."""
         return {entry.txn for entry in self._log if entry.txn != exclude}

@@ -115,7 +115,3 @@ class UndoLog:
     def undo(self, txn: TxnId) -> set[TxnId]:
         """Back out one transaction; returns invalidated survivors."""
         return self._shared.remove_transactions({txn})
-
-    def undo_many(self, txns: set[TxnId]) -> set[TxnId]:
-        """Back out several transactions at once."""
-        return self._shared.remove_transactions(set(txns))

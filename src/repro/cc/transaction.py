@@ -30,11 +30,6 @@ class TransactionStatus(enum.Enum):
     COMMITTED = "committed"
     ABORTED = "aborted"
 
-    @property
-    def is_resolved(self) -> bool:
-        """Whether the transaction has reached a terminal state."""
-        return self is not TransactionStatus.ACTIVE
-
 
 @dataclass
 class OperationRecord:
@@ -84,10 +79,6 @@ class Transaction:
     @property
     def is_active(self) -> bool:
         return self.status is TransactionStatus.ACTIVE
-
-    def objects_touched(self) -> set[str]:
-        """Names of the shared objects this transaction operated on."""
-        return {record.object_name for record in self.records}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -38,11 +38,6 @@ class Dependency(enum.IntEnum):
             return ""
         return self.name
 
-    @property
-    def is_restrictive(self) -> bool:
-        """Whether the dependency constrains scheduling at all."""
-        return self is not Dependency.ND
-
 
 def stronger(first: Dependency, second: Dependency) -> Dependency:
     """The more restrictive of two dependencies (the paper's ``stronger``)."""

@@ -260,8 +260,18 @@ def run_replication_chaos(
 
     Every scenario's stitched history must pass
     :func:`~repro.dist.audit.audit_global`; the report's ``"passed"``
-    is the CI gate.
+    is the CI gate.  Every shard count must be at least 2: on one shard
+    every operation to the partitioned primary times out, so the
+    partition heals before the heartbeat detector misses twice and
+    ``partition_heal`` cannot fail over.
     """
+    for shards in shard_counts:
+        if shards < 2:
+            raise ValueError(
+                f"replication chaos needs at least 2 shards, got {shards}:"
+                " on one shard the partition heals before the heartbeat"
+                " detector misses twice, so partition_heal cannot fail over"
+            )
 
     def replicated(adt, table, shards, crash_schedule=None, plan=None):
         return Cluster(

@@ -20,7 +20,7 @@ appends ``2pc-`` *protocol records* to the same
     window.
 
 Scheduler replay skips protocol records (see
-:func:`~repro.robust.decision_log.replay_into`); :meth:`ParticipantNode.recover`
+:func:`~repro.robust.decision_log.apply_record`); :meth:`ParticipantNode.recover`
 replays the scheduler, then re-reads the protocol records to rebuild the
 mapping and the in-doubt set.
 

@@ -9,15 +9,16 @@ when the primary stays unreachable.  The replication channel is the
 durable log itself, not the :class:`~repro.dist.bus.SimBus`: recovery
 is deterministic replay of that log, so a backup needs the records
 *applied*, not messaged, and :meth:`ReplicaGroup.ship` hands each live
-backup its unshipped tail directly (:meth:`BackupReplica.receive`, a
-verified replay of every record).  The channel neither drops, delays nor
-reorders, so it draws nothing from the fault plan.  No batch is
-acknowledged either: the watermark is consumed only at cluster turn
-boundaries, so the :class:`ReplicationManager` reads each live backup's
-applied count there, and that reading is the group's ``acked`` watermark
-until the next boundary (so :class:`~repro.obs.events.LogShipped`
-``lag`` is measured against the last boundary's watermark).  Three rules
-make failover safe:
+backup the primary's records past its ``applied`` count directly
+(:meth:`BackupReplica.receive`, a verified replay of every record).  The
+channel neither drops, delays nor reorders, so it draws nothing from the
+fault plan, and ``applied`` is the one watermark: nothing is shipped
+twice, so nothing is acknowledged or retransmitted.  For reporting, the
+:class:`ReplicationManager` reads each live backup's ``applied`` at
+every cluster turn boundary, and that reading is the group's ``acked``
+watermark until the next boundary (so
+:class:`~repro.obs.events.LogShipped` ``lag`` is measured against the
+last boundary's reading).  Three rules make failover safe:
 
 1. **Ship before reply.**  The primary ships every record it logged
    while handling a message *before* the reply externalizes the outcome
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 
-from repro.cc.scheduler import TableDrivenScheduler
 from repro.obs.events import (
     LogShipped,
     NodeCrashed,
@@ -77,6 +77,7 @@ from repro.robust.decision_log import (
     DecisionLog,
     LoggingScheduler,
     apply_record,
+    recover,
 )
 
 from repro.dist.node import ParticipantNode
@@ -95,7 +96,8 @@ class BackupReplica:
     crash-recovery path runs, so a diverging backup fails loudly instead
     of silently serving garbage.  ``applied`` is the replication
     watermark: the number of primary records this backup has durably
-    applied, which the manager reads at every boundary.
+    applied, where :meth:`ReplicaGroup.ship` resumes and what the
+    manager reads at every boundary.
     """
 
     def __init__(
@@ -125,30 +127,20 @@ class BackupReplica:
         rather than trying to patch its lost volatile state.
         """
         self.log = log
-        self.sched = TableDrivenScheduler(policy=self.policy)
-        for index, record in enumerate(log.records):
-            apply_record(self.sched, log, record, index)
+        self.sched = recover(log, policy=self.policy)
         self.applied = len(log.records)
 
-    def receive(self, start: int, records) -> None:
-        """Append and apply the primary's records from index ``start``.
+    def receive(self, records) -> None:
+        """Append and apply the primary's records from index ``applied``.
 
-        Every record runs :func:`~repro.robust.decision_log.apply_record`
-        with verification on, so a record that diverges from what this
-        replica computes raises :class:`~repro.errors.RecoveryError`
-        here, inside the primary's handler and before its reply.
+        Every record runs :func:`~repro.robust.decision_log.apply_record`,
+        so a record that diverges from what this replica computes raises
+        :class:`~repro.errors.RecoveryError` here, inside the primary's
+        handler and before its reply.
         """
-        if start > self.applied:
-            # A gap: records between our watermark and this batch were
-            # lost to a crash on our side.  Ignore the batch; the
-            # boundary state transfer re-seeds us whole.
-            return
-        for offset, record in enumerate(records):
-            index = start + offset
-            if index < self.applied:
-                continue  # duplicate of an already-applied record
+        for record in records:
             self.log.records.append(record)
-            apply_record(self.sched, self.log, record, index)
+            apply_record(self.sched, self.log, record, self.applied)
             self.applied += 1
             self.stats.repl_records_applied += 1
         self.stats.repl_acks += 1
@@ -188,9 +180,8 @@ class ReplicaGroup:
         self.primary = primary
         self.backups: list[BackupReplica] = []
         self.epoch = 0
-        #: Per-backup shipped record watermarks, and the applied
-        #: watermarks the manager read at the last boundary.
-        self.shipped: dict[str, int] = {}
+        #: Per-backup applied watermarks as the manager read them at the
+        #: last boundary (reported lag is measured against these).
         self.acked: dict[str, int] = {}
         #: Consecutive missed heartbeats (reset by any answered ping).
         self.missed = 0
@@ -198,20 +189,18 @@ class ReplicaGroup:
         #: the evidence behind the single-primary-per-epoch certificate.
         self.servings: set[tuple[int, int]] = set()
 
-    def note_ack(self, backup: str, acked: int) -> None:
-        if backup in self.acked:
-            self.acked[backup] = max(self.acked[backup], acked)
-
     def note_serve(self, incarnation: int) -> None:
         self.servings.add((self.epoch, incarnation))
 
     def ship(self) -> None:
-        """Ship the primary's unshipped log tail to every live backup.
+        """Ship each live backup the primary's log past its ``applied``.
 
         Each backup applies its tail before this returns.  Called by the
         primary after handling each message, *before* the reply is
         enqueued, and by the manager at boundaries to push tails written
-        outside handlers.
+        outside handlers.  A backup's ``applied`` is its only shipping
+        position: the channel loses nothing, and a crashed backup is
+        skipped until the boundary reseeds it whole.
         """
         node = self.primary
         total = len(node.log.records)
@@ -219,10 +208,10 @@ class ReplicaGroup:
         for backup in self.backups:
             if backup.name in down:
                 continue
-            start = self.shipped[backup.name]
+            start = backup.applied
             if start >= total:
                 continue
-            batch = tuple(node.log.records[start:])
+            batch = node.log.records[start:]
             if node.tracer:
                 node.tracer.emit(
                     LogShipped(
@@ -235,8 +224,7 @@ class ReplicaGroup:
                     )
                 )
             node.stats.repl_records_shipped += len(batch)
-            self.shipped[backup.name] = total
-            backup.receive(start, batch)
+            backup.receive(batch)
 
 
 class ReplicationManager:
@@ -292,7 +280,6 @@ class ReplicationManager:
         self.cluster.bus.register_endpoint(name, backup.handle)
         group.backups.append(backup)
         group.backups.sort(key=lambda b: b.name)
-        group.shipped[name] = backup.applied
         group.acked[name] = backup.applied
         return backup
 
@@ -309,8 +296,8 @@ class ReplicationManager:
         here), revive crashed backups by state transfer, track
         heartbeats and hold crashed primaries that have a live backup,
         promote where the miss threshold is reached, consult the
-        ``replica_crash`` fault point, then retransmit unacked tails and
-        observe replication lag.
+        ``replica_crash`` fault point, then ship each live primary's
+        tail and observe replication lag.
         """
         cluster = self.cluster
         bus = cluster.bus
@@ -325,11 +312,10 @@ class ReplicationManager:
             down = bus.down()
             for backup in group.backups:
                 if backup.name not in down:
-                    group.note_ack(backup.name, backup.applied)
+                    group.acked[backup.name] = backup.applied
                     continue
                 bus.revive(backup.name)
                 backup.reseed(group.primary.log.fork())
-                group.shipped[backup.name] = backup.applied
                 group.acked[backup.name] = backup.applied
                 self.stats.node_recoveries += 1
                 if self.tracer:
@@ -394,15 +380,6 @@ class ReplicationManager:
             group = self.groups[name]
             if name in bus.down():
                 continue
-            for backup in group.backups:
-                if backup.name in bus.down():
-                    continue
-                acked = group.acked[backup.name]
-                if acked < group.shipped[backup.name]:
-                    self.stats.repl_retransmits += (
-                        group.shipped[backup.name] - acked
-                    )
-                    group.shipped[backup.name] = acked
             group.ship()
             total = len(group.primary.log.records)
             for backup in group.backups:
@@ -452,13 +429,10 @@ class ReplicationManager:
         node.incarnation = next(self._incarnations)
         group.primary = node
         group.backups.remove(best)
-        group.shipped.pop(best.name, None)
         group.acked.pop(best.name, None)
-        # Remaining backups hold prefixes of the promoted log; restart
-        # shipping from their acked watermark (re-applied records dedupe
-        # on the backup by index).
-        for backup in group.backups:
-            group.shipped[backup.name] = group.acked[backup.name]
+        # The remaining backups hold prefixes of the promoted log (the
+        # promoted one applied the most), so shipping resumes at each
+        # one's ``applied``.
         index = cluster.nodes.index(deposed)
         cluster.nodes[index] = node
         cluster._node_by_name[name] = node

@@ -60,6 +60,9 @@ class DistStats:
     #: Shipped batches a backup applied (no ack message is sent: the
     #: manager reads each backup's watermark at the boundary).
     repl_acks: int = 0
+    #: Always 0: shipping resumes at each backup's applied count, so
+    #: nothing is re-shipped.  Kept because every cluster transcript
+    #: embeds every field.
     repl_retransmits: int = 0
     heartbeats_sent: int = 0
     heartbeats_missed: int = 0

@@ -16,7 +16,6 @@ __all__ = [
     "InvalidEdgeError",
     "SpecError",
     "UnknownOperationError",
-    "StateSpaceError",
     "MethodologyError",
     "InconsistentEntryError",
     "TemplateError",
@@ -27,7 +26,6 @@ __all__ = [
     "WorkloadError",
     "RecoveryError",
     "InvariantViolationError",
-    "ExperimentError",
 ]
 
 
@@ -86,10 +84,6 @@ class UnknownOperationError(SpecError):
         super().__init__(f"ADT {adt!r} does not define operation {operation!r}")
         self.adt = adt
         self.operation = operation
-
-
-class StateSpaceError(SpecError):
-    """The bounded state enumeration was configured inconsistently."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +152,3 @@ class InvariantViolationError(TransactionError):
     rebuilt and execution fell back to the bit-parity reference scheduler,
     and the invariant still does not hold.
     """
-
-
-# ---------------------------------------------------------------------------
-# Experiment errors (repro.experiments)
-# ---------------------------------------------------------------------------
-
-class ExperimentError(ReproError):
-    """An experiment could not be executed or validated."""

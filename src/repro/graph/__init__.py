@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`~repro.graph.object_graph.ObjectGraph` — the graph ``G_ob`` of
-  Def. 8 with composition and ordering subgraphs (Def. 9), recursive
+  Def. 8 with its composed-of and ordering edge sets (Def. 9), recursive
   content (Def. 10), ``V_simple`` (Def. 18) and references (Def. 20).
 * :class:`~repro.graph.instrument.InstrumentedGraph` /
   :class:`~repro.graph.instrument.LocalityTrace` — execution-time recording
@@ -24,14 +24,12 @@ from repro.graph.analysis import (
 from repro.graph.builder import GraphBuilder, build_chain
 from repro.graph.edges import ComposedOfEdge, OrderingEdge
 from repro.graph.instrument import EdgeAttribution, InstrumentedGraph, LocalityTrace
-from repro.graph.object_graph import CompositionGraph, ObjectGraph, OrderingGraph
+from repro.graph.object_graph import ObjectGraph
 from repro.graph.render import render_ascii, render_chain, render_dot
 from repro.graph.vertex import Vertex, VertexId, VertexIdAllocator
 
 __all__ = [
     "ObjectGraph",
-    "CompositionGraph",
-    "OrderingGraph",
     "Vertex",
     "VertexId",
     "VertexIdAllocator",

@@ -77,10 +77,6 @@ class GraphBuilder:
         self._built = True
         return self._graph
 
-    def vertex_id(self, label: str) -> VertexId:
-        """Look up the vertex id assigned to a label."""
-        return self._resolve(label)
-
     # -- internals ------------------------------------------------------
 
     def _resolve(self, label: str) -> VertexId:

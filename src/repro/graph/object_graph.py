@@ -10,8 +10,9 @@ set of ordering rules ``R`` and a set of operations ``O`` (Def. 7).  Its
 * ordering edges ``E_ord`` between components.
 
 Def. 9 names the two subgraphs: the *composition graph* (root, components
-and composed-of edges) and the *ordering graph* (components and ordering
-edges).  Def. 10 defines the *content* of a vertex recursively; Def. 18
+and composed-of edges, :meth:`ObjectGraph.composed_of_edges`) and the
+*ordering graph* (components and ordering edges,
+:meth:`ObjectGraph.ordering_edges`).  Def. 10 defines the *content* of a vertex recursively; Def. 18
 defines ``V_simple``, the set of all primitive vertices in the hierarchy;
 Def. 20 defines *references* as distinguished composed-of edges.
 
@@ -23,7 +24,7 @@ locality of an operation.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import (
     DuplicateVertexError,
@@ -34,7 +35,7 @@ from repro.errors import (
 from repro.graph.edges import ComposedOfEdge, OrderingEdge
 from repro.graph.vertex import Vertex, VertexId, VertexIdAllocator
 
-__all__ = ["ObjectGraph", "CompositionGraph", "OrderingGraph"]
+__all__ = ["ObjectGraph"]
 
 
 class ObjectGraph:
@@ -139,10 +140,6 @@ class ObjectGraph:
             return {inner: nested.content(inner) for inner in nested.vertex_ids()}
         return vertex.value
 
-    def set_content(self, vid: VertexId, value: Any) -> None:
-        """Replace the content of a primitive vertex."""
-        self._require(vid).value = value
-
     def simple_vertices(self) -> set[tuple[int, ...]]:
         """``V_simple`` of Def. 18, as hierarchical paths.
 
@@ -243,24 +240,6 @@ class ObjectGraph:
         return set(self._references)
 
     # ------------------------------------------------------------------
-    # Subgraphs (Def. 9)
-    # ------------------------------------------------------------------
-
-    def composition_graph(self) -> "CompositionGraph":
-        """The composition graph ``G'_ob`` (root, components, ``E_com``)."""
-        return CompositionGraph(
-            root_label=self.name,
-            component_ids=self.vertex_ids(),
-            edges=self.composed_of_edges(),
-        )
-
-    def ordering_graph(self) -> "OrderingGraph":
-        """The ordering graph ``G''_ob`` (components, ``E_ord``)."""
-        return OrderingGraph(
-            component_ids=self.vertex_ids(), edges=self.ordering_edges()
-        )
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
@@ -276,53 +255,3 @@ class ObjectGraph:
             f"|E_ord|={len(self._ordering)}, refs={sorted(self._references)})"
         )
 
-
-class CompositionGraph:
-    """Immutable snapshot of the composition subgraph ``G'_ob`` (Def. 9)."""
-
-    def __init__(
-        self,
-        root_label: str,
-        component_ids: Iterable[VertexId],
-        edges: Iterable[ComposedOfEdge],
-    ) -> None:
-        self.root_label = root_label
-        self.component_ids = frozenset(component_ids)
-        self.edges = frozenset(edges)
-
-    def __len__(self) -> int:
-        return len(self.component_ids)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CompositionGraph):
-            return NotImplemented
-        return (
-            self.component_ids == other.component_ids and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.component_ids, self.edges))
-
-
-class OrderingGraph:
-    """Immutable snapshot of the ordering subgraph ``G''_ob`` (Def. 9)."""
-
-    def __init__(
-        self, component_ids: Iterable[VertexId], edges: Iterable[OrderingEdge]
-    ) -> None:
-        self.component_ids = frozenset(component_ids)
-        self.edges = frozenset(edges)
-
-    def successors(self, vid: VertexId) -> set[VertexId]:
-        """Targets of edges emanating from ``vid`` in the snapshot."""
-        return {edge.target for edge in self.edges if edge.source == vid}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingGraph):
-            return NotImplemented
-        return (
-            self.component_ids == other.component_ids and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.component_ids, self.edges))

@@ -135,10 +135,6 @@ class EvidenceBase:
         """The enumerated states (a list; safe to iterate repeatedly)."""
         return self._states
 
-    def matrix_size(self) -> int:
-        """Entries currently held (enumerated fragment + lazy growth)."""
-        return len(self._matrix)
-
     def invocation_pairs(
         self, executing: str, invoked: str
     ) -> Iterator[tuple[Invocation, Invocation]]:

@@ -26,7 +26,6 @@ from repro.robust.decision_log import (
     DecisionLog,
     LoggingScheduler,
     recover,
-    replay_into,
 )
 from repro.robust.faults import (
     FAULT_KINDS,
@@ -56,6 +55,5 @@ __all__ = [
     "crash_sweep",
     "recover",
     "render_report",
-    "replay_into",
     "run_chaos",
 ]

@@ -236,7 +236,11 @@ def run_chaos(
     if replication:
         report["replication"] = run_replication_chaos(
             adts,
-            shard_counts=tuple(n for n in shard_counts if n > 1) or (2,),
+            # A count of 1 is dropped beside larger ones (the default
+            # shard counts are 1 2); left alone it reaches
+            # run_replication_chaos, which rejects it.
+            shard_counts=tuple(n for n in shard_counts if n > 1)
+            or shard_counts,
             seeds=seeds,
         )
     for section in ("distributed", "serving", "replication"):

@@ -24,11 +24,13 @@ Three pieces:
   between calls loses nothing that was not already re-derivable; a call
   in flight at the crash is equivalent to the crash having struck just
   before it (its effects die with the process).
-* :func:`recover` / :func:`replay_into` — rebuild a scheduler from the
-  log.  ``recover`` builds the default
-  :class:`~repro.cc.scheduler.TableDrivenScheduler`; ``replay_into``
-  replays into any scheduler exposing the same surface (the degradation
-  path replays into a :class:`~repro.cc.reference.ReferenceScheduler`).
+* :func:`recover` — rebuild a scheduler from the log by verified
+  replay, one :func:`apply_record` per record.  It builds the default
+  :class:`~repro.cc.scheduler.TableDrivenScheduler`, or any scheduler
+  exposing the same surface (the degradation path recovers into a
+  :class:`~repro.cc.reference.ReferenceScheduler`).  Verification always
+  runs: crash recovery, degradation and every backup replica (seeded,
+  state-transferred or fed shipped records) replay the same way.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "LoggingScheduler",
     "apply_record",
     "recover",
-    "replay_into",
 ]
 
 
@@ -342,14 +343,7 @@ class LoggingScheduler:
 
     def request(self, txn, object_name, invocation):
         decision = self.inner.request(txn, object_name, invocation)
-        blocked_on = ()
-        if decision.executed:
-            outcome, returned = "executed", repr(decision.returned)
-        elif decision.aborted:
-            outcome, returned = "aborted", ""
-        else:
-            outcome, returned = "blocked", ""
-            blocked_on = tuple(sorted(decision.blocked_on))
+        outcome, returned, blocked_on = _request_outcome(decision)
         self.log.append(
             Decision(
                 kind="request",
@@ -366,14 +360,7 @@ class LoggingScheduler:
 
     def try_commit(self, txn):
         decision = self.inner.try_commit(txn)
-        blocked_on = ()
-        if decision.committed:
-            outcome = "committed"
-        elif decision.must_abort:
-            outcome = "must-abort"
-        else:
-            outcome = "waiting"
-            blocked_on = tuple(sorted(decision.waiting_on))
+        outcome, blocked_on = _commit_outcome(decision)
         self.log.append(
             Decision(
                 kind="commit", txn=txn, outcome=outcome, blocked_on=blocked_on
@@ -436,26 +423,30 @@ class LoggingScheduler:
         return f"<LoggingScheduler over {self.inner!r} ({len(self.log)} records)>"
 
 
-def replay_into(scheduler, log: DecisionLog, verify: bool = True):
-    """Replay ``log`` into ``scheduler``, verifying outcomes as recorded.
+def _request_outcome(decision) -> tuple[str, str, tuple]:
+    """A request decision as its logged ``(outcome, returned, blocked_on)``."""
+    if decision.executed:
+        return "executed", repr(decision.returned), ()
+    if decision.aborted:
+        return "aborted", "", ()
+    return "blocked", "", tuple(sorted(decision.blocked_on))
 
-    The replay is *silent*: the target scheduler should carry a null
-    tracer while replaying (recovery must not re-emit the crashed run's
-    events); callers attach the live tracer afterwards.  Returns the
-    scheduler for chaining.
-    """
-    for index, record in enumerate(log.records):
-        apply_record(scheduler, log, record, index, verify=verify)
-    return scheduler
+
+def _commit_outcome(decision) -> tuple[str, tuple]:
+    """A commit decision as its logged ``(outcome, blocked_on)``."""
+    if decision.committed:
+        return "committed", ()
+    if decision.must_abort:
+        return "must-abort", ()
+    return "waiting", tuple(sorted(decision.waiting_on))
 
 
 def apply_record(
-    scheduler, log: DecisionLog, record: Decision, index: int,
-    verify: bool = True,
+    scheduler, log: DecisionLog, record: Decision, index: int
 ) -> None:
     """Apply one decision record to ``scheduler``, verifying its outcome.
 
-    The single-record body of :func:`replay_into`, exposed so a backup
+    The single-record body of :func:`recover`, exposed so a backup
     replica can apply shipped records incrementally as they arrive
     (:mod:`repro.dist.replication`) with the same verification the
     crash-recovery path runs.  ``log`` supplies the replay sources for
@@ -471,64 +462,59 @@ def apply_record(
         )
     elif record.kind == "begin":
         txn = scheduler.begin()
-        if verify and txn != record.txn:
+        if txn != record.txn:
             raise RecoveryError(
                 f"replay record {index}: begin produced transaction "
                 f"{txn}, log recorded {record.txn}"
             )
     elif record.kind == "request":
-        decision = scheduler.request(
-            record.txn,
-            record.object_name,
-            Invocation(operation=record.operation, args=record.args),
+        outcome, returned, blocked_on = _request_outcome(
+            scheduler.request(
+                record.txn,
+                record.object_name,
+                Invocation(operation=record.operation, args=record.args),
+            )
         )
-        if decision.executed:
-            outcome, returned = "executed", repr(decision.returned)
-        elif decision.aborted:
-            outcome, returned = "aborted", ""
-        else:
-            outcome, returned = "blocked", ""
-        if verify and (
-            outcome != record.outcome
-            or (outcome == "executed" and returned != record.returned)
+        if outcome != record.outcome or (
+            outcome == "executed" and returned != record.returned
         ):
             raise RecoveryError(
                 f"replay record {index}: request {record.operation} by "
                 f"txn {record.txn} produced {outcome}/{returned!r}, log "
                 f"recorded {record.outcome}/{record.returned!r}"
             )
-        if verify and record.blocked_on and outcome == "blocked":
-            blocked_on = tuple(sorted(decision.blocked_on))
-            if blocked_on != tuple(record.blocked_on):
-                # Same outcome, different wait graph: the histories
-                # have already diverged (deadlock victims are chosen
-                # from this graph, inside the call and unlogged).
-                raise RecoveryError(
-                    f"replay record {index}: request {record.operation}"
-                    f" by txn {record.txn} blocked on {blocked_on}, log"
-                    f" recorded {tuple(record.blocked_on)}"
-                )
+        if (
+            outcome == "blocked"
+            and record.blocked_on
+            and blocked_on != tuple(record.blocked_on)
+        ):
+            # Same outcome, different wait graph: the histories have
+            # already diverged (deadlock victims are chosen from this
+            # graph, inside the call and unlogged).
+            raise RecoveryError(
+                f"replay record {index}: request {record.operation}"
+                f" by txn {record.txn} blocked on {blocked_on}, log"
+                f" recorded {tuple(record.blocked_on)}"
+            )
     elif record.kind == "commit":
-        decision = scheduler.try_commit(record.txn)
-        if decision.committed:
-            outcome = "committed"
-        elif decision.must_abort:
-            outcome = "must-abort"
-        else:
-            outcome = "waiting"
-        if verify and outcome != record.outcome:
+        outcome, waiting_on = _commit_outcome(
+            scheduler.try_commit(record.txn)
+        )
+        if outcome != record.outcome:
             raise RecoveryError(
                 f"replay record {index}: commit of txn {record.txn} "
                 f"produced {outcome}, log recorded {record.outcome}"
             )
-        if verify and record.blocked_on and outcome == "waiting":
-            waiting_on = tuple(sorted(decision.waiting_on))
-            if waiting_on != tuple(record.blocked_on):
-                raise RecoveryError(
-                    f"replay record {index}: commit of txn {record.txn} "
-                    f"waited on {waiting_on}, log recorded "
-                    f"{tuple(record.blocked_on)}"
-                )
+        if (
+            outcome == "waiting"
+            and record.blocked_on
+            and waiting_on != tuple(record.blocked_on)
+        ):
+            raise RecoveryError(
+                f"replay record {index}: commit of txn {record.txn} "
+                f"waited on {waiting_on}, log recorded "
+                f"{tuple(record.blocked_on)}"
+            )
     elif record.kind == "abort":
         scheduler.abort(record.txn, reason=record.reason)
     elif record.kind == "policy":
@@ -554,7 +540,6 @@ def recover(
     log: DecisionLog,
     policy: str | None = None,
     scheduler_factory=None,
-    verify: bool = True,
 ):
     """Reconstruct a scheduler from ``log`` by verified replay.
 
@@ -562,8 +547,10 @@ def recover(
     :class:`~repro.cc.scheduler.TableDrivenScheduler` under the log's
     recorded policy is built; the factory hook lets the degradation path
     recover into a :class:`~repro.cc.reference.ReferenceScheduler`
-    instead.  The replay runs untraced; attach a tracer to the returned
-    scheduler afterwards if the run is being traced.
+    instead.  The replay is *silent*: the new scheduler carries a null
+    tracer while replaying (recovery must not re-emit the crashed run's
+    events); attach a tracer to the returned scheduler afterwards if the
+    run is being traced.
     """
     if scheduler_factory is not None:
         scheduler = scheduler_factory()
@@ -572,4 +559,6 @@ def recover(
 
         chosen = policy or log.policy or "optimistic"
         scheduler = TableDrivenScheduler(policy=chosen)
-    return replay_into(scheduler, log, verify=verify)
+    for index, record in enumerate(log.records):
+        apply_record(scheduler, log, record, index)
+    return scheduler

@@ -232,35 +232,6 @@ class ServingLoop:
         self.outcomes: dict[int, str] = {}
 
     # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def run(self) -> ServeResult:
-        started = time.perf_counter()
-        result = self._run_ready()
-        wall = time.perf_counter() - started
-        return ServeResult(
-            requests=result["requests"],
-            committed=result["committed"],
-            aborted=result["aborted"],
-            goodput_ops=result["goodput_ops"],
-            ops_issued=result["ops_issued"],
-            sim_duration=result["sim_duration"],
-            wall_seconds=wall,
-            ticks=result["ticks"],
-            forced_wakes=result["forced_wakes"],
-            retries=result["retries"],
-            policy_switches=tuple(self.switches),
-            latency=self.recorder,
-            shed=result["shed"],
-            deadline_exceeded=result["deadline_exceeded"],
-            retries_exhausted=result["retries_exhausted"],
-            breaker_transitions=result["breaker_transitions"],
-            degradation_steps=result["degradation_steps"],
-            outcomes=tuple(sorted(self.outcomes.items())),
-        )
-
-    # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
 
@@ -294,7 +265,8 @@ class ServingLoop:
     # The event loop: ready callbacks instead of busy-retry
     # ------------------------------------------------------------------
 
-    def _run_ready(self) -> dict:
+    def run(self) -> ServeResult:
+        started = time.perf_counter()
         backend = self.backend
         closed = self.workload.mode == "closed"
         policy = self.deadline
@@ -805,29 +777,34 @@ class ServingLoop:
         # Settle the distributed tail (crash revival, unacked decisions,
         # incomplete aborts); a no-op on fault-free backends.
         backend.finalize()
-        return {
-            "requests": (
+        wall = time.perf_counter() - started
+        return ServeResult(
+            requests=(
                 committed + aborted + shed + deadline_exceeded
                 + retries_exhausted
             ),
-            "committed": committed,
-            "aborted": aborted,
-            "goodput_ops": goodput,
-            "ops_issued": issued,
-            "sim_duration": last_finish,
-            "ticks": ticks,
-            "forced_wakes": forced_wakes,
-            "retries": retries,
-            "shed": shed,
-            "deadline_exceeded": deadline_exceeded,
-            "retries_exhausted": retries_exhausted,
-            "breaker_transitions": (
+            committed=committed,
+            aborted=aborted,
+            goodput_ops=goodput,
+            ops_issued=issued,
+            sim_duration=last_finish,
+            wall_seconds=wall,
+            ticks=ticks,
+            forced_wakes=forced_wakes,
+            retries=retries,
+            policy_switches=tuple(self.switches),
+            latency=self.recorder,
+            shed=shed,
+            deadline_exceeded=deadline_exceeded,
+            retries_exhausted=retries_exhausted,
+            breaker_transitions=(
                 tuple(board.transitions) if board is not None else ()
             ),
-            "degradation_steps": (
+            degradation_steps=(
                 tuple(ladder.steps) if ladder is not None else ()
             ),
-        }
+            outcomes=tuple(sorted(outcomes.items())),
+        )
 
 
 def serve(backend, workload: ServeWorkload, **options) -> ServeResult:

@@ -28,12 +28,6 @@ class TestExecution:
         shared.execute(1, Invocation("Pop"))
         assert [entry.txn for entry in shared.log()] == [0, 1]
 
-    def test_operations_of(self, shared):
-        shared.execute(0, Invocation("Push", ("b",)))
-        shared.execute(1, Invocation("Pop"))
-        assert len(shared.operations_of(0)) == 1
-        assert len(shared.operations_of(2)) == 0
-
     def test_active_writers(self, shared):
         shared.execute(0, Invocation("Push", ("b",)))
         shared.execute(1, Invocation("Pop"))

@@ -81,10 +81,3 @@ class TestUndoLog:
         undo.execute(0, Invocation("Push", ("b",)))
         undo.execute(1, Invocation("Pop"))  # observes txn 0's element
         assert undo.undo(0) == {1}
-
-    def test_undo_many(self, shared):
-        undo = UndoLog(shared)
-        undo.execute(0, Invocation("Push", ("b",)))
-        undo.execute(1, Invocation("Push", ("a",)))
-        assert undo.undo_many({0, 1}) == set()
-        assert shared.state() == ("a",)

@@ -88,8 +88,8 @@ class TestUndoCascades:
         invalidated = undo.undo(0)
         rounds = 0
         while invalidated:
-            assert len(invalidated) == 1
-            invalidated = undo.undo_many(invalidated)
+            (survivor,) = invalidated
+            invalidated = undo.undo(survivor)
             rounds += 1
         assert rounds == depth
         assert shared.state() == 0

@@ -9,7 +9,7 @@ from repro.cc.transaction import (
 )
 from repro.errors import TransactionStateError
 from repro.spec.operation import Invocation
-from repro.spec.returnvalue import ok, result_only
+from repro.spec.returnvalue import ok
 
 
 def record(sequence=1, operation="Push"):
@@ -30,7 +30,6 @@ class TestLifecycle:
     def test_terminal_states(self):
         txn = Transaction(txn_id=0, status=TransactionStatus.COMMITTED)
         assert txn.is_committed
-        assert txn.status.is_resolved
 
     def test_require_active_guards(self):
         txn = Transaction(txn_id=0, status=TransactionStatus.ABORTED)
@@ -49,13 +48,6 @@ class TestRecords:
         txn.record(record(sequence=1))
         txn.record(record(sequence=2, operation="Pop"))
         assert [r.sequence for r in txn.records] == [1, 2]
-
-    def test_objects_touched(self):
-        txn = Transaction(txn_id=0)
-        txn.record(record())
-        other = OperationRecord("other", Invocation("Size"), result_only(0), 2)
-        txn.record(other)
-        assert txn.objects_touched() == {"qs", "other"}
 
     def test_record_render(self):
         assert record().render() == "qs.Push('a'):ok"

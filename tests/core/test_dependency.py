@@ -44,8 +44,3 @@ class TestRendering:
     def test_named_rendering(self):
         assert Dependency.AD.render() == "AD"
         assert Dependency.CD.render() == "CD"
-
-    def test_is_restrictive(self):
-        assert not Dependency.ND.is_restrictive
-        assert Dependency.CD.is_restrictive
-        assert Dependency.AD.is_restrictive

@@ -7,6 +7,9 @@ The replication layer's contracts, each tested on its own:
   frontend parity).
 * **Determinism** — a fault-free replicated run and the full failover
   campaign are byte-stable across repeated runs.
+* **One watermark** — after every ship each live backup has applied its
+  primary's whole log, so its applied count is all the shipping position
+  it needs, through view changes and replication storms.
 * **Zero committed loss** — killing every primary once mid-protocol
   loses no committed transaction: the primary ships its log tail before
   any reply externalizes an outcome.
@@ -26,14 +29,18 @@ import pytest
 
 from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
+from repro.adts.registry import builtin_names, make_adt as make_builtin
 from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
 from repro.dist import run_distributed
 from repro.dist.audit import audit_global
 from repro.dist.chaos import _KillPrimariesOnce, run_replication_chaos
 from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
+from repro.dist.replication import ReplicaGroup
 from repro.errors import RecoveryError
 from repro.experiments import golden
+from repro.robust import FaultPlan, FaultSpec
+from repro.robust.chaos import campaign_workload
 from repro.spec.operation import Invocation
 
 
@@ -152,8 +159,6 @@ class TestDeterminism:
         )
 
     def test_empty_fault_plan_is_bit_identical_across_runs(self, fixture):
-        from repro.robust import FaultPlan, FaultSpec
-
         adt, table = fixture
         workload = workload_for(adt, 1991)
 
@@ -263,8 +268,6 @@ class TestWatermarks:
         assert backup.applied == len(primary.log.records) - 1
 
     def test_backup_crashed_between_boundaries_catches_up(self, fixture):
-        from repro.robust import FaultPlan, FaultSpec
-
         adt, table = fixture
         # A backup crashed at one boundary stays down until the next,
         # missing the batches its primary logs meanwhile; that boundary
@@ -284,6 +287,57 @@ class TestWatermarks:
             for backup in row["backups"].values():
                 assert backup["lag"] == 0
                 assert backup["applied"] == row["log_records"]
+
+
+class TestOneWatermark:
+    """Every ``ReplicaGroup.ship`` leaves each live backup at its
+    primary's log length, so a backup's ``applied`` count is all the
+    shipping position it needs.  Checked after every ship, across view
+    changes (every primary killed once) and replication storms (message
+    faults, primary and backup crashes), for every built-in ADT."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_every_ship_leaves_live_backups_caught_up(
+        self, monkeypatch, name, shards
+    ):
+        adt = make_builtin(name)
+        table = derive(adt).final_table
+        ship = ReplicaGroup.ship
+        positions = []
+
+        def checked_ship(group):
+            ship(group)
+            down = group.primary.bus.down()
+            total = len(group.primary.log.records)
+            positions.extend(
+                (backup.name, backup.applied, total)
+                for backup in group.backups
+                if backup.name not in down
+            )
+
+        monkeypatch.setattr(ReplicaGroup, "ship", checked_ship)
+        view_changes = replica_crashes = 0
+        for seed in (1991, 3):
+            workload = campaign_workload(adt, 10, 3, seed)
+            kill = Cluster(
+                adt, table, shards=shards, policy="blocking", replicas=3,
+                crash_schedule=_KillPrimariesOnce(
+                    f"node{i}" for i in range(shards)
+                ),
+            )
+            kill.run(workload, seed=seed)
+            assert kill.stats.view_changes >= shards
+            storm = Cluster(
+                adt, table, shards=shards, policy="blocking", replicas=3,
+                fault_plan=FaultPlan(seed, FaultSpec.replication_storm()),
+            )
+            storm.run(workload, seed=seed)
+            view_changes += kill.stats.view_changes + storm.stats.view_changes
+            replica_crashes += storm.stats.replica_crashes
+        assert positions
+        assert [p for p in positions if p[1] != p[2]] == []
+        assert view_changes > 0 and replica_crashes > 0
 
 
 class TestFailover:
@@ -435,3 +489,11 @@ class TestCampaign:
         assert kill["gates"]["all_primaries_killed"]
         assert kill["gates"]["no_committed_loss"]
         assert kill["gates"]["single_primary_per_epoch"]
+
+    def test_single_shard_is_rejected(self):
+        # On one shard the partition heals before the heartbeat detector
+        # misses twice, so partition_heal could never fail over.
+        adt = AccountSpec()
+        adts = {"Account": (adt, derive(adt).final_table)}
+        with pytest.raises(ValueError, match="at least 2 shards"):
+            run_replication_chaos(adts, shard_counts=(1,))

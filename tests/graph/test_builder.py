@@ -28,7 +28,8 @@ class TestGraphBuilder:
     def test_reference_by_label(self):
         builder = GraphBuilder("S").component("top", value=9)
         graph = builder.reference("b", "top").build()
-        assert graph.reference("b") == builder.vertex_id("top")
+        (top,) = graph.vertices()
+        assert graph.reference("b") == top.vid
 
     def test_dangling_reference(self):
         graph = GraphBuilder("S").reference("b", None).build()

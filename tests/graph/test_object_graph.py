@@ -104,8 +104,7 @@ class TestOrderingEdges:
 
 class TestContent:
     def test_primitive_content(self, graph):
-        vid = graph.add_vertex(41)
-        graph.set_content(vid, 42)
+        vid = graph.add_vertex(42)
         assert graph.content(vid) == 42
 
     def test_complex_content_is_recursive(self, graph):
@@ -163,26 +162,3 @@ class TestReferences:
         graph.declare_reference("b", None)
         assert graph.reference_names() == {"f", "b"}
 
-
-class TestSubgraphs:
-    def test_composition_graph_snapshot(self, graph):
-        a = graph.add_vertex()
-        snapshot = graph.composition_graph()
-        graph.add_vertex()
-        assert snapshot.component_ids == frozenset({a})
-        assert len(snapshot) == 1
-
-    def test_ordering_graph_snapshot_equality(self, graph):
-        a, b = graph.add_vertex(), graph.add_vertex()
-        graph.add_ordering_edge(a, b)
-        first = graph.ordering_graph()
-        second = graph.ordering_graph()
-        assert first == second
-        assert hash(first) == hash(second)
-        assert first.successors(a) == {b}
-
-    def test_subgraph_inequality_after_mutation(self, graph):
-        a, b = graph.add_vertex(), graph.add_vertex()
-        before = graph.ordering_graph()
-        graph.add_ordering_edge(a, b)
-        assert before != graph.ordering_graph()

@@ -26,7 +26,7 @@ class TestGauge:
         gauge = Gauge(name="depth")
         gauge.set(10)
         gauge.inc(2.5)
-        gauge.dec(0.5)
+        gauge.inc(-0.5)  # a gauge, unlike a counter, may go down
         assert gauge.value == pytest.approx(12.0)
 
 

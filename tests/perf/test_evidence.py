@@ -2,6 +2,7 @@
 
 from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
+from repro.perf import evidence as evidence_module
 from repro.perf.evidence import EvidenceBase
 from repro.semantics.commutativity import commute_in_state
 from repro.semantics.history import HistoryEvent, event_alphabet, replay
@@ -14,10 +15,16 @@ EVIDENCE = EvidenceBase(ADT)
 
 
 class TestMatrix:
-    def test_matrix_covers_state_invocation_product(self):
-        states = ADT.state_list()
-        invocations = ADT.invocations()
-        assert EVIDENCE.matrix_size() >= len(states) * len(invocations)
+    def test_matrix_covers_state_invocation_product(self, monkeypatch):
+        # Every (state, invocation) pair is served from the eagerly built
+        # matrix: none of them executes again.
+        def unexpected(*args):
+            raise AssertionError(f"executed outside the matrix: {args}")
+
+        monkeypatch.setattr(evidence_module, "execute_invocation", unexpected)
+        for state in ADT.state_list():
+            for invocation in ADT.invocations():
+                EVIDENCE.execute(state, invocation)
 
     def test_matrix_matches_direct_execution(self):
         for state in EVIDENCE.states():
@@ -37,10 +44,13 @@ class TestMatrix:
 
     def test_execute_grows_lazily_past_enumerated_fragment(self):
         evidence = EvidenceBase(ADT, bounds=ADT.default_bounds)
-        before = evidence.matrix_size()
         off_matrix = ("a", "a")  # reachable, and we ask from it explicitly
-        evidence.execute(off_matrix, ADT.invocations()[0])
-        assert evidence.matrix_size() >= before
+        invocation = ADT.invocations()[0]
+        memoized = evidence.execute(off_matrix, invocation)
+        fresh = execute_invocation(ADT, off_matrix, invocation)
+        assert memoized.post_state == fresh.post_state
+        assert memoized.returned == fresh.returned
+        assert evidence.execute(off_matrix, invocation) is memoized
 
     def test_by_operation_covers_requested_operations(self):
         subset = EvidenceBase(ADT, operations=["Push", "Pop"])

@@ -161,6 +161,14 @@ class TestChaosInputValidation(_UsageErrors):
     def test_intensity_outside_unit_interval_rejected(self, capsys):
         self.assert_usage_error(capsys, "--intensity", "2")
 
+    def test_replication_on_one_shard_rejected(self, capsys):
+        # Replication chaos cannot fail over on one shard; the run must
+        # not silently switch to two.
+        assert main([*self.PREFIX, "--replication", "--shards", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--replication" in err
+
 
 class TestSimulateInputValidation(_UsageErrors):
     """Invalid simulate counts and rates are usage errors (exit 2), not
