@@ -475,7 +475,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.verify:
         from repro.obs.analysis import serializable_from_trace
 
-        print("serializable (from trace):", serializable_from_trace(events))
+        serializable = serializable_from_trace(events)
+        print("serializable (from trace):", serializable)
+        return 0 if serializable else 1
     return 0
 
 
@@ -704,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--verify", action="store_true",
-        help="re-verify serializability from the trace alone (summary mode)",
+        help="re-verify serializability from the trace alone (summary mode; "
+        "exit 1 when no serial order explains it)",
     )
     trace.set_defaults(func=_cmd_trace)
 

@@ -8,8 +8,8 @@ Transactions (:mod:`repro.cc.transaction`), the AD/CD dependency graph
 (:mod:`repro.cc.reference`), the deterministic closed-loop driver
 (:mod:`repro.cc.harness`), workload generation
 (:mod:`repro.cc.workload`), the discrete-event simulator
-(:mod:`repro.cc.simulator`) and serializability verification
-(:mod:`repro.cc.serializability`).
+(:mod:`repro.cc.simulator`) and serializability verification over one
+run history (:mod:`repro.cc.serializability`).
 """
 
 from repro.cc.conflict_graph import (
@@ -29,7 +29,12 @@ from repro.cc.scheduler import (
     SchedulerStats,
     TableDrivenScheduler,
 )
-from repro.cc.serializability import find_serialization, is_serializable, replay_serial
+from repro.cc.serializability import (
+    RunHistory,
+    find_serialization,
+    find_witness,
+    is_serializable,
+)
 from repro.cc.simulator import (
     ObjectConfig,
     SimulationConfig,
@@ -83,7 +88,8 @@ __all__ = [
     "simulate",
     "simulate_with_scheduler",
     "RunMetrics",
-    "replay_serial",
+    "RunHistory",
+    "find_witness",
     "find_serialization",
     "is_serializable",
 ]

@@ -16,20 +16,24 @@ cyclic conflict graph can still be serializable because the specific
 states involved made the operations commute; the replay-based checker in
 :mod:`repro.cc.serializability` decides those.)  The cross-validation
 tests check the implication direction on every sweep run.
+
+It reads the same :class:`~repro.cc.serializability.RunHistory` and
+shares its :func:`~repro.cc.serializability.topological_order`, but its
+order is deliberately not a candidate of
+:func:`~repro.cc.serializability.find_witness`: a witness found there
+and nowhere else would move a verdict.
 """
 
 from __future__ import annotations
 
-from repro.cc.scheduler import TableDrivenScheduler
+from repro.cc.serializability import RunHistory, topological_order
 from repro.cc.transaction import TxnId
 from repro.semantics.commutativity import forward_commute_invocations
 
 __all__ = ["conflict_edges", "serialization_graph_order", "is_conflict_serializable"]
 
 
-def conflict_edges(
-    scheduler: TableDrivenScheduler,
-) -> set[tuple[TxnId, TxnId]]:
+def conflict_edges(scheduler) -> set[tuple[TxnId, TxnId]]:
     """Edges of the serialization graph over the committed transactions.
 
     For each shared object, the committed operations are walked in global
@@ -37,21 +41,33 @@ def conflict_edges(
     that does not forward-commute (in every state) adds an edge from the
     earlier executor to the later one.
     """
-    committed: list[TxnId] = []
-    index = 0
-    while True:
-        try:
-            txn = scheduler.transaction(index)
-        except Exception:
-            break
-        if txn.is_committed:
-            committed.append(index)
-        index += 1
+    return _conflict_edges(RunHistory.of_scheduler(scheduler))
+
+
+def serialization_graph_order(scheduler) -> list[TxnId] | None:
+    """A topological order of the serialization graph, or ``None`` on a cycle.
+
+    Ties go to the lower transaction id.
+    """
+    history = RunHistory.of_scheduler(scheduler)
+    return topological_order(
+        history.records,
+        ((later, earlier) for earlier, later in _conflict_edges(history)),
+        key=lambda txn: txn,
+    )
+
+
+def is_conflict_serializable(scheduler) -> bool:
+    """Whether the committed run's serialization graph is acyclic."""
+    return serialization_graph_order(scheduler) is not None
+
+
+def _conflict_edges(history: RunHistory) -> set[tuple[TxnId, TxnId]]:
     records = sorted(
         (
             (record.sequence, txn, record)
-            for txn in committed
-            for record in scheduler.transaction(txn).records
+            for txn, txn_records in history.records.items()
+            for record in txn_records
         ),
         key=lambda item: item[0],
     )
@@ -62,7 +78,7 @@ def conflict_edges(
     edges: set[tuple[TxnId, TxnId]] = set()
     commute_cache: dict[tuple[str, object, object], bool] = {}
     for object_name, entries in by_object.items():
-        shared = scheduler.object(object_name)
+        adt = history.adts[object_name]
         for i, (first_txn, first_record) in enumerate(entries):
             for j in range(i + 1, len(entries)):
                 second_txn, second_record = entries[j]
@@ -75,49 +91,10 @@ def conflict_edges(
                 )
                 if key not in commute_cache:
                     commute_cache[key] = forward_commute_invocations(
-                        shared.adt,
+                        adt,
                         first_record.invocation,
                         second_record.invocation,
                     )
                 if not commute_cache[key]:
                     edges.add((first_txn, second_txn))
     return edges
-
-
-def serialization_graph_order(
-    scheduler: TableDrivenScheduler,
-) -> list[TxnId] | None:
-    """A topological order of the serialization graph, or ``None`` on a cycle."""
-    edges = conflict_edges(scheduler)
-    nodes = {txn for edge in edges for txn in edge}
-    index = 0
-    while True:
-        try:
-            txn = scheduler.transaction(index)
-        except Exception:
-            break
-        if txn.is_committed:
-            nodes.add(index)
-        index += 1
-    order: list[TxnId] = []
-    remaining = set(nodes)
-    while remaining:
-        ready = sorted(
-            node
-            for node in remaining
-            if not any(
-                earlier in remaining
-                for (earlier, later) in edges
-                if later == node
-            )
-        )
-        if not ready:
-            return None
-        order.append(ready[0])
-        remaining.discard(ready[0])
-    return order
-
-
-def is_conflict_serializable(scheduler: TableDrivenScheduler) -> bool:
-    """Whether the committed run's serialization graph is acyclic."""
-    return serialization_graph_order(scheduler) is not None

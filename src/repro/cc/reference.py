@@ -216,6 +216,10 @@ class ReferenceScheduler:
         except KeyError:
             raise SchedulerError(f"unknown transaction {txn}") from None
 
+    def transactions(self) -> list[Transaction]:
+        """Every transaction begun, in id order."""
+        return list(self._txns.values())
+
     def active_transactions(self) -> set[TxnId]:
         """Ids of all currently active transactions."""
         return {tid for tid, txn in self._txns.items() if txn.is_active}

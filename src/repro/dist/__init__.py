@@ -23,12 +23,13 @@ protocol must carry across nodes.  The pieces:
   turn loop over the bus); a one-shard run is transcript-identical to
   the bare scheduler harness.
 * :mod:`~repro.dist.audit` — stitches per-node histories into one global
-  history and re-checks it with the existing serializability machinery.
+  :class:`~repro.cc.serializability.RunHistory` and re-checks it with the
+  one witness search.
 * :mod:`~repro.dist.crash` / :mod:`~repro.dist.chaos` — the exhaustive
   distributed crash-point sweep and the distributed chaos campaign.
 """
 
-from repro.dist.audit import GlobalAudit, StitchedRun, audit_global, stitch_edges
+from repro.dist.audit import GlobalAudit, audit_global, history_of_cluster, stitch_edges
 from repro.dist.bus import Message, SimBus, SimCrash
 from repro.dist.chaos import run_dist_chaos
 from repro.dist.cluster import (
@@ -60,9 +61,9 @@ __all__ = [
     "ParticipantNode",
     "SimBus",
     "SimCrash",
-    "StitchedRun",
     "audit_global",
     "dist_crash_sweep",
+    "history_of_cluster",
     "run_dist_chaos",
     "run_distributed",
     "shard_workload",

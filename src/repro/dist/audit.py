@@ -2,19 +2,20 @@
 
 Each node's scheduler checks its own shard; nobody on the cluster ever
 sees the *global* history.  This module stitches it back together and
-re-checks it with the existing single-node machinery, unchanged:
+re-checks it with the single-node machinery, unchanged:
 
 * :func:`stitch_edges` unions the per-node dependency graphs, mapped
   from local txn ids to gtxns, keeping the strongest label when two
   nodes recorded the same pair (AD beats CD, the
   :meth:`~repro.core.dependency.Dependency.stronger` rule).
-* :class:`StitchedRun` adapts the cluster to the scheduler surface
-  :func:`repro.cc.serializability.find_serialization` consumes —
-  ``transaction(i)`` over driver-side global transactions (operation
-  records carry global execution stamps, commit stamps follow the
-  coordinator's decision order), ``object(name)`` proxied to the owning
-  node's live shard object — so the *serial replay over actual final
-  shard states* is the same code path experiment X5 trusts.
+* :func:`history_of_cluster` builds the one
+  :class:`~repro.cc.serializability.RunHistory` of the run: driver-side
+  global transactions (operation records carry global execution stamps,
+  commit stamps follow the coordinator's decision order), the stitched
+  edges, and each shard's initial and actual final state — so the
+  *serial replay over actual final shard states* is the
+  :func:`~repro.cc.serializability.find_witness` search experiment X5
+  trusts.
 * :func:`audit_global` bundles the verdicts: no transaction left in
   doubt, a serialization witness exists, and the cross-node AD/CD
   contract held end-to-end (no committed transaction has an aborted AD
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cc.serializability import find_serialization
-from repro.cc.transaction import Transaction, TransactionStatus
+from repro.cc.serializability import RunHistory, find_witness
 
-__all__ = ["GlobalAudit", "StitchedRun", "audit_global", "stitch_edges"]
+__all__ = ["GlobalAudit", "audit_global", "history_of_cluster", "stitch_edges"]
 
 
 def stitch_edges(cluster) -> dict:
@@ -54,40 +54,26 @@ def stitch_edges(cluster) -> dict:
     return stitched
 
 
-class _EdgeView:
-    """The minimal ``dependency_graph()`` surface: just ``edges()``."""
-
-    def __init__(self, edges: dict) -> None:
-        self._edges = edges
-
-    def edges(self) -> dict:
-        return dict(self._edges)
-
-
-class StitchedRun:
-    """A cluster viewed through the single-scheduler audit surface."""
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self._edges = stitch_edges(cluster)
-        self._txns: dict[int, Transaction] = {}
-        for gtxn in range(cluster.admitted):
-            status = cluster.gstatus.get(gtxn, "ABORTED")
-            self._txns[gtxn] = Transaction(
-                txn_id=gtxn,
-                status=TransactionStatus[status],
-                records=list(cluster.grecords.get(gtxn, ())),
-                commit_sequence=cluster.gstamps.get(gtxn),
-            )
-
-    def transaction(self, gtxn: int) -> Transaction:
-        return self._txns[gtxn]  # KeyError past the end, by design
-
-    def object(self, name: str):
-        return self.cluster._shard_object(name)
-
-    def dependency_graph(self) -> _EdgeView:
-        return _EdgeView(self._edges)
+def history_of_cluster(cluster) -> RunHistory:
+    """The global history of ``cluster``'s finished run."""
+    shards = {name: cluster._shard_object(name) for name in cluster.shard_names}
+    committed = [
+        gtxn
+        for gtxn in range(cluster.admitted)
+        if cluster.gstatus.get(gtxn) == "COMMITTED"
+    ]
+    return RunHistory(
+        adts={name: shared.adt for name, shared in shards.items()},
+        initial_states={
+            name: shared.initial_state for name, shared in shards.items()
+        },
+        records={
+            gtxn: tuple(cluster.grecords.get(gtxn, ())) for gtxn in committed
+        },
+        commit_stamps={gtxn: cluster.gstamps[gtxn] for gtxn in committed},
+        edges=stitch_edges(cluster),
+        final_states={name: shared.state() for name, shared in shards.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -129,21 +115,17 @@ def audit_global(cluster, brute_force_limit: int = 6) -> GlobalAudit:
                 f"gtxn {gtxn} still in doubt on {node.name} after recovery"
             )
 
-    stitched = StitchedRun(cluster)
-    witness = find_serialization(stitched, brute_force_limit)
+    history = history_of_cluster(cluster)
+    witness = find_witness(history, brute_force_limit)
     if witness is None:
         violations.append("no serial order explains the committed history")
 
     ad_cd_ok = True
-    committed = {
-        gtxn
-        for gtxn in range(cluster.admitted)
-        if cluster.gstatus.get(gtxn) == "COMMITTED"
-    }
-    for (later, earlier), dependency in stitched._edges.items():
-        if later not in committed:
+    stamps = history.commit_stamps
+    for (later, earlier), dependency in history.edges.items():
+        if later not in stamps:
             continue
-        if earlier not in committed:
+        if earlier not in stamps:
             # A CD predecessor may resolve either way; only an *abort*
             # dependency on an aborted predecessor must cascade.
             if dependency.name == "AD":
@@ -153,18 +135,12 @@ def audit_global(cluster, brute_force_limit: int = 6) -> GlobalAudit:
                     f"aborted gtxn {earlier} (missed cascade)"
                 )
             continue
-        later_stamp = cluster.gstamps.get(later)
-        earlier_stamp = cluster.gstamps.get(earlier)
-        if (
-            later_stamp is not None
-            and earlier_stamp is not None
-            and later_stamp < earlier_stamp
-        ):
+        if stamps[later] < stamps[earlier]:
             ad_cd_ok = False
             violations.append(
                 f"gtxn {later} committed before its {dependency.name} "
-                f"predecessor {earlier} (stamps {later_stamp} < "
-                f"{earlier_stamp})"
+                f"predecessor {earlier} (stamps {stamps[later]} < "
+                f"{stamps[earlier]})"
             )
 
     return GlobalAudit(

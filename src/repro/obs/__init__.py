@@ -16,8 +16,8 @@ un-traced hot path never constructs an event.
 from repro.obs.analysis import (
     EntryFiring,
     TraceSummary,
-    find_serialization_from_trace,
     firing_histogram,
+    history_from_trace,
     parse_literal,
     registry_from_trace,
     render_dashboard,
@@ -115,7 +115,7 @@ __all__ = [
     "transaction_timeline",
     "TraceSummary",
     "summarize",
-    "find_serialization_from_trace",
+    "history_from_trace",
     "serializable_from_trace",
     "registry_from_trace",
     "render_dashboard",

@@ -10,12 +10,13 @@ account of a run.  This module reconstructs three things from it:
   dependency, under which condition and evidence source
   (:func:`firing_histogram`); this is the paper's "more potential for
   concurrency" claim made countable per refined entry;
-* the **serializability verdict, from the trace alone**
-  (:func:`find_serialization_from_trace`): committed transactions'
-  operation logs, return values, commit order and dependency edges are
-  all in the trace, so the same replay argument
-  :mod:`repro.cc.serializability` applies to the live scheduler can be
-  re-run offline — the cross-check that the trace is faithful.
+* the **serializability verdict, from the trace alone**: committed
+  transactions' operation logs, return values, commit order, dependency
+  edges and final states are all in the trace, so
+  :func:`history_from_trace` rebuilds the very
+  :class:`~repro.cc.serializability.RunHistory` the live scheduler
+  yields, and :func:`serializable_from_trace` runs the one witness
+  search over it offline — the cross-check that the trace is faithful.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import ast
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.events import (
@@ -53,10 +53,7 @@ __all__ = [
     "render_event",
     "TraceSummary",
     "summarize",
-    "TracedOperation",
-    "TracedRun",
-    "reconstruct_run",
-    "find_serialization_from_trace",
+    "history_from_trace",
     "serializable_from_trace",
     "registry_from_trace",
     "render_dashboard",
@@ -263,174 +260,69 @@ def summarize(events: Sequence[TraceEvent]) -> TraceSummary:
 # Trace-based serializability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TracedOperation:
-    """One granted operation reconstructed from the trace."""
+def history_from_trace(
+    events: Iterable[TraceEvent], adts: Mapping[str, Any] | None = None
+):
+    """The :class:`~repro.cc.serializability.RunHistory` a trace records.
 
-    object_name: str
-    operation: str
-    args: tuple
-    outcome: str | None
-    result: Any
-    sequence: int
-
-
-@dataclass
-class TracedRun:
-    """Everything replay needs, reconstructed from a trace."""
-
-    #: object name -> (adt name, parsed initial state)
-    objects: dict[str, tuple[str, Any]] = field(default_factory=dict)
-    #: txn -> granted operations in execution order
-    operations: dict[int, list[TracedOperation]] = field(default_factory=dict)
-    #: committed txn -> commit sequence stamp
-    commit_sequence: dict[int, int] = field(default_factory=dict)
-    #: (later, earlier) dependency edges recorded during the run
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    #: object name -> rendered final abstract state (when recorded)
-    final_states: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def committed(self) -> list[int]:
-        """Committed transactions in commit order."""
-        return sorted(self.commit_sequence, key=self.commit_sequence.__getitem__)
-
-
-def reconstruct_run(events: Iterable[TraceEvent]) -> TracedRun:
-    """Fold a trace into the replayable :class:`TracedRun` form."""
-    run = TracedRun()
-    for event in events:
-        if isinstance(event, ObjectRegistered):
-            run.objects[event.object_name] = (
-                event.adt, parse_literal(event.initial_state)
-            )
-        elif isinstance(event, OpGranted):
-            run.operations.setdefault(event.txn, []).append(
-                TracedOperation(
-                    object_name=event.object_name,
-                    operation=event.operation,
-                    args=tuple(parse_literal(event.args)),
-                    outcome=event.outcome,
-                    result=parse_literal(event.result),
-                    sequence=event.sequence,
-                )
-            )
-        elif isinstance(event, TxnCommitted):
-            run.commit_sequence[event.txn] = event.commit_sequence
-        elif isinstance(event, DependencyRecorded):
-            run.edges.add((event.txn, event.other_txn))
-        elif isinstance(event, RunCompleted):
-            run.final_states = dict(event.final_states)
-    for operations in run.operations.values():
-        operations.sort(key=lambda op: op.sequence)
-    return run
-
-
-def _resolve_adts(
-    run: TracedRun, adts: Mapping[str, Any] | None
-) -> dict[str, Any]:
-    """Object name -> ADT spec, from the caller or the built-in registry."""
-    from repro.adts.registry import make_adt
-
-    resolved = {}
-    for object_name, (adt_name, _) in run.objects.items():
-        if adts is not None and object_name in adts:
-            resolved[object_name] = adts[object_name]
-        else:
-            resolved[object_name] = make_adt(adt_name)
-    return resolved
-
-
-def _replay(run: TracedRun, adts: dict[str, Any], order: Sequence[int]) -> bool:
-    """Whether serial execution in ``order`` reproduces the trace.
-
-    Mirrors :func:`repro.cc.serializability.replay_serial`: every recorded
-    return value must be reproduced, and — when the trace recorded final
-    states — the replayed final states must match them.
+    ``adts`` optionally maps object names to specs; unmapped objects are
+    resolved through the built-in ADT registry by the name recorded at
+    registration.  Dependency edges keep their strongest label, as the
+    live graph does, and the final states are the last
+    :class:`~repro.obs.events.RunCompleted`'s, when there is one.
     """
-    from repro.spec.adt import execute_invocation, render_state
+    from repro.adts.registry import make_adt
+    from repro.cc.serializability import RunHistory
+    from repro.cc.transaction import OperationRecord
+    from repro.core.dependency import Dependency
     from repro.spec.operation import Invocation
     from repro.spec.returnvalue import ReturnValue
 
-    states = {name: initial for name, (_, initial) in run.objects.items()}
-    for txn in order:
-        for op in run.operations.get(txn, []):
-            execution = execute_invocation(
-                adts[op.object_name],
-                states[op.object_name],
-                Invocation(op.operation, op.args),
+    specs: dict[str, Any] = {}
+    initial_states: dict[str, Any] = {}
+    granted: dict[int, list[OperationRecord]] = {}
+    stamps: dict[int, int] = {}
+    edges: dict[tuple[int, int], Dependency] = {}
+    final_states: dict[str, Any] = {}
+    for event in events:
+        if isinstance(event, ObjectRegistered):
+            name = event.object_name
+            specs[name] = (
+                adts[name] if adts is not None and name in adts
+                else make_adt(event.adt)
             )
-            recorded = ReturnValue(outcome=op.outcome, result=op.result)
-            if execution.returned != recorded:
-                return False
-            states[op.object_name] = execution.post_state
-    for object_name, final_repr in run.final_states.items():
-        if object_name not in states:
-            continue
-        # Canonical on both sides: traces recorded before states were
-        # rendered canonically hold set elements in hash order.
-        expected = render_state(parse_literal(final_repr))
-        if render_state(states[object_name]) != expected:
-            return False
-    return True
-
-
-def _topological(run: TracedRun) -> list[int] | None:
-    """Committed transactions ordered so edges point backwards."""
-    members = set(run.commit_sequence)
-    preds: dict[int, set[int]] = {txn: set() for txn in members}
-    for later, earlier in run.edges:
-        if later in members and earlier in members:
-            preds[later].add(earlier)
-
-    def first_stamp(txn: int) -> int:
-        operations = run.operations.get(txn, [])
-        return operations[0].sequence if operations else 0
-
-    order: list[int] = []
-    remaining = set(members)
-    while remaining:
-        ready = sorted(
-            (txn for txn in remaining if not (preds[txn] & remaining)),
-            key=first_stamp,
-        )
-        if not ready:
-            return None
-        order.append(ready[0])
-        remaining.discard(ready[0])
-    return order
-
-
-def find_serialization_from_trace(
-    events: Iterable[TraceEvent],
-    adts: Mapping[str, Any] | None = None,
-    brute_force_limit: int = 6,
-) -> list[int] | None:
-    """A serial order of the committed transactions explaining the trace.
-
-    Candidate orders, exactly as in
-    :func:`repro.cc.serializability.find_serialization`: the recorded
-    commit order, the topological order over the recorded dependency
-    edges, then brute force for small populations.  ``adts`` optionally
-    maps object names to specs; unmapped objects are resolved through the
-    built-in ADT registry by the name recorded at registration.
-    """
-    run = reconstruct_run(events)
-    committed = run.committed
-    if not committed:
-        return []
-    resolved = _resolve_adts(run, adts)
-    if _replay(run, resolved, committed):
-        return committed
-    topological = _topological(run)
-    if topological is not None and _replay(run, resolved, topological):
-        return topological
-    if len(committed) <= brute_force_limit:
-        for permutation in permutations(committed):
-            candidate = list(permutation)
-            if _replay(run, resolved, candidate):
-                return candidate
-    return None
+            initial_states[name] = parse_literal(event.initial_state)
+        elif isinstance(event, OpGranted):
+            granted.setdefault(event.txn, []).append(
+                OperationRecord(
+                    event.object_name,
+                    Invocation(event.operation, tuple(parse_literal(event.args))),
+                    ReturnValue(event.outcome, parse_literal(event.result)),
+                    event.sequence,
+                )
+            )
+        elif isinstance(event, TxnCommitted):
+            stamps[event.txn] = event.commit_sequence
+        elif isinstance(event, DependencyRecorded):
+            pair = (event.txn, event.other_txn)
+            edges[pair] = max(
+                edges.get(pair, Dependency.ND), Dependency[event.dependency]
+            )
+        elif isinstance(event, RunCompleted):
+            final_states = {
+                name: parse_literal(text) for name, text in event.final_states
+            }
+    return RunHistory(
+        adts=specs,
+        initial_states=initial_states,
+        records={
+            txn: tuple(sorted(granted.get(txn, ()), key=lambda r: r.sequence))
+            for txn in stamps
+        },
+        commit_stamps=stamps,
+        edges=edges,
+        final_states=final_states,
+    )
 
 
 def serializable_from_trace(
@@ -439,10 +331,10 @@ def serializable_from_trace(
     brute_force_limit: int = 6,
 ) -> bool:
     """Whether the committed portion of the traced run is serializable."""
-    return (
-        find_serialization_from_trace(events, adts, brute_force_limit)
-        is not None
-    )
+    from repro.cc.serializability import find_witness
+
+    history = history_from_trace(events, adts)
+    return find_witness(history, brute_force_limit) is not None
 
 
 # ---------------------------------------------------------------------------

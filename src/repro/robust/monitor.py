@@ -23,8 +23,9 @@ degraded replay to verify:
     corrupted.
 ``serializability``
     The committed prefix admits a serial witness
-    (:func:`repro.cc.serializability.find_serialization`) — the paper's
-    ground truth, checked live instead of post-hoc.
+    (:func:`repro.cc.serializability.find_witness` over a history with
+    no final states, replayed uncached) — the paper's ground truth,
+    checked live instead of post-hoc.
 ``shadow_freshness``
     Every maintained shadow state equals a fresh *uncached* "log minus
     txn" replay.  Bypassing the execution cache is the point: a poisoned
@@ -50,6 +51,7 @@ sink and out the metrics registry.
 
 from __future__ import annotations
 
+from repro.cc.serializability import RunHistory, find_witness
 from repro.errors import InvariantViolationError, RecoveryError
 from repro.graph.instrument import EdgeAttribution
 from repro.obs.events import DegradedMode, InvariantViolated
@@ -82,7 +84,6 @@ class MonitoredScheduler(LoggingScheduler):
         check_interval: int = 1,
         max_recoveries: int = 1,
         robust_stats: RobustStats | None = None,
-        serializability_limit: int = 6,
     ) -> None:
         super().__init__(inner, log)
         if check_interval < 1:
@@ -92,7 +93,6 @@ class MonitoredScheduler(LoggingScheduler):
         self.robust_stats = (
             robust_stats if robust_stats is not None else RobustStats()
         )
-        self.serializability_limit = serializability_limit
         self.degraded = False
         self._calls = 0
         #: Quarantine rebuilds performed by *this* monitor, bounded by
@@ -128,7 +128,6 @@ class MonitoredScheduler(LoggingScheduler):
             check_interval=self.check_interval,
             max_recoveries=self.max_recoveries,
             robust_stats=self.robust_stats,
-            serializability_limit=self.serializability_limit,
         )
         rebuilt.degraded = self.degraded
         rebuilt._calls = self._calls
@@ -187,61 +186,18 @@ class MonitoredScheduler(LoggingScheduler):
         """The committed prefix must admit a serial witness *now*.
 
         Unlike the post-hoc checker this runs mid-transaction: active
-        transactions' operations are still in the object logs, so final
-        states cannot be compared — the witness must reproduce every
-        *recorded return value* of the committed transactions.  (A
+        transactions' operations are still in the object logs, so the
+        history carries no final states and the witness must reproduce
+        every *recorded return value* of the committed transactions.  (A
         committed transaction can never have observed a still-active one:
         such an observation records an AD/CD edge, and commitment waits
         for every predecessor to resolve — so committed returns are
         explainable by committed transactions alone.)
         """
-        committed = sorted(
-            (
-                txn
-                for txn in self._all_transactions()
-                if txn.is_committed
-            ),
-            key=lambda txn: txn.commit_sequence or 0,
-        )
-        if not committed:
-            return ""
-        if self._serial_returns_ok(committed):
-            return ""
-        if len(committed) <= self.serializability_limit:
-            from itertools import permutations
-
-            for candidate in permutations(committed):
-                if self._serial_returns_ok(list(candidate)):
-                    return ""
-        return "committed prefix admits no serial witness"
-
-    def _all_transactions(self):
-        found = []
-        index = 0
-        while True:
-            try:
-                found.append(self.inner.transaction(index))
-            except Exception:
-                return found
-            index += 1
-
-    def _serial_returns_ok(self, order) -> bool:
-        """Whether serial execution in ``order`` reproduces every recorded
-        return value (uncached — a poisoned cache must not vouch for
-        itself)."""
-        states: dict[str, object] = {}
-        for transaction in order:
-            for record in transaction.records:
-                name = record.object_name
-                shared = self.inner.object(name)
-                state = states.get(name, shared.initial_state)
-                execution = execute_uncached(
-                    shared.adt, state, record.invocation, EdgeAttribution.BOTH
-                )
-                if execution.returned != record.returned:
-                    return False
-                states[name] = execution.post_state
-        return True
+        history = RunHistory.of_scheduler(self.inner, final=False)
+        if find_witness(history) is None:
+            return "committed prefix admits no serial witness"
+        return ""
 
     def _check_shadow_freshness(self) -> str:
         """Compare every maintained shadow state to an uncached replay."""

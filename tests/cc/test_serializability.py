@@ -4,7 +4,12 @@ import pytest
 
 from repro.adts.qstack import QStackSpec
 from repro.cc.scheduler import TableDrivenScheduler
-from repro.cc.serializability import find_serialization, is_serializable, replay_serial
+from repro.cc.serializability import (
+    RunHistory,
+    explains,
+    find_serialization,
+    is_serializable,
+)
 from repro.core.dependency import Dependency
 from repro.core.entry import Entry
 from repro.core.methodology import derive
@@ -38,8 +43,9 @@ class TestReplaySerial:
         scheduler.request(t2, "qs", Invocation("Deq"))
         scheduler.try_commit(t1)
         scheduler.try_commit(t2)
-        assert replay_serial(scheduler, [t1, t2])
-        assert replay_serial(scheduler, [t2, t1])  # they commuted
+        history = RunHistory.of_scheduler(scheduler)
+        assert explains(history, [t1, t2])
+        assert explains(history, [t2, t1])  # they commuted
 
     def test_wrong_order_detected(self, table):
         scheduler = make_scheduler(table)
@@ -48,8 +54,9 @@ class TestReplaySerial:
         scheduler.request(t2, "qs", Invocation("Pop"))  # 'a'
         scheduler.try_commit(t1)
         scheduler.try_commit(t2)
-        assert replay_serial(scheduler, [t1, t2])
-        assert not replay_serial(scheduler, [t2, t1])
+        history = RunHistory.of_scheduler(scheduler)
+        assert explains(history, [t1, t2])
+        assert not explains(history, [t2, t1])
 
     def test_empty_commit_set(self, table):
         scheduler = make_scheduler(table)

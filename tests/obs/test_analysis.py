@@ -8,8 +8,8 @@ from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
 from repro.obs.analysis import (
     firing_histogram,
+    history_from_trace,
     parse_literal,
-    reconstruct_run,
     registry_from_trace,
     render_event,
     summarize,
@@ -130,24 +130,24 @@ class TestSummarize:
 class TestReconstructRun:
     def test_operations_ordered_by_sequence(self, traced_run):
         events, _, _ = traced_run
-        run = reconstruct_run(events)
-        assert run.objects["shared"][0] == "QStack"
-        for operations in run.operations.values():
-            stamps = [op.sequence for op in operations]
+        history = history_from_trace(events)
+        assert history.adts["shared"].name == "QStack"
+        for records in history.records.values():
+            stamps = [record.sequence for record in records]
             assert stamps == sorted(stamps)
 
     def test_commit_order_matches_commit_events(self, traced_run):
         events, _, _ = traced_run
-        run = reconstruct_run(events)
+        history = history_from_trace(events)
         committed_events = [
             event.txn for event in events if isinstance(event, TxnCommitted)
         ]
-        assert run.committed == committed_events
+        assert history.commit_order == committed_events
 
     def test_final_states_recorded(self, traced_run):
         events, _, scheduler = traced_run
-        run = reconstruct_run(events)
-        assert run.final_states["shared"] == repr(
+        history = history_from_trace(events)
+        assert history.final_states["shared"] == (
             scheduler.object("shared").state()
         )
 

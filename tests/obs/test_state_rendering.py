@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs.analysis import (
+    history_from_trace,
     parse_literal,
-    reconstruct_run,
     serializable_from_trace,
 )
 from repro.obs.events import RunCompleted
@@ -95,5 +95,5 @@ def test_verification_ignores_set_element_order(tmp_path):
         aborted=final.aborted,
         final_states=((name, reordered),),
     )
-    assert reconstruct_run(events).final_states[name] == reordered
+    assert history_from_trace(events).final_states[name] == state
     assert serializable_from_trace(events)

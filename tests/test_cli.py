@@ -270,6 +270,30 @@ class TestTraceCommands:
         out = capsys.readouterr().out
         assert "serializable (from trace): True" in out
 
+    def test_trace_verify_fails_on_a_tampered_final_state(
+        self, tmp_path, capsys
+    ):
+        # A final state no serial order reaches: the verdict is False,
+        # and the exit code must say so for scripts and CI.
+        import json
+
+        path = tmp_path / "run.jsonl"
+        assert main([
+            "simulate", "QStack", "--seed", "1", "--trace", str(path),
+        ]) == 0
+        lines = path.read_text().splitlines()
+        for index, line in enumerate(lines):
+            record = json.loads(line)
+            if record["type"] == "run_completed":
+                record["final_states"] = [
+                    [name, "('z',)"] for name, _ in record["final_states"]
+                ]
+                lines[index] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["trace", str(path), "--verify"]) == 1
+        assert "serializable (from trace): False" in capsys.readouterr().out
+
     def test_trace_verify_refuses_a_sharded_trace(self, tmp_path, capsys):
         # Node-local transaction ids collide across shards, so the
         # single-scheduler verifier cannot judge a cluster trace; the
