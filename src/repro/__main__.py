@@ -60,6 +60,14 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_metrics(registry, metrics_format: str) -> None:
+    """Print a metrics registry in the ``--metrics-format`` asked for."""
+    if metrics_format == "json":
+        print(registry.render_json())
+    else:
+        print(registry.render_prometheus(), end="")
+
+
 def _cmd_derive(args: argparse.Namespace) -> int:
     adt = make_adt(args.adt)
     options = MethodologyOptions(
@@ -96,10 +104,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
         registry = MetricsRegistry()
         result.profile.publish(registry)
-        if args.metrics_format == "json":
-            print(registry.render_json())
-        else:
-            print(registry.render_prometheus(), end="")
+        _print_metrics(registry, args.metrics_format)
     return 0
 
 
@@ -212,11 +217,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if tracer is not None:
         print(f"trace: {args.trace} ({tracer.emitted} events)")
     if args.metrics_format:
-        registry = metrics.to_registry()
-        if args.metrics_format == "json":
-            print(registry.render_json())
-        else:
-            print(registry.render_prometheus(), end="")
+        _print_metrics(metrics.to_registry(), args.metrics_format)
     return 0
 
 
@@ -224,7 +225,7 @@ def _simulate_distributed(args: argparse.Namespace, adt, table) -> int:
     """``simulate --shards N``: the workload over a sharded cluster."""
     from repro.cc.workload import WorkloadConfig, generate
     from repro.dist import Cluster, audit_global
-    from repro.obs.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry, publish_counters
     from repro.obs.tracers import JsonlTracer
 
     workload = generate(
@@ -308,11 +309,12 @@ def _simulate_distributed(args: argparse.Namespace, adt, table) -> int:
         print(f"trace: {args.trace} ({tracer.emitted} events)")
     if args.metrics_format:
         registry = MetricsRegistry()
-        cluster.stats.publish(registry)
-        if args.metrics_format == "json":
-            print(registry.render_json())
-        else:
-            print(registry.render_prometheus(), end="")
+        publish_counters(registry, "dist", cluster.stats)
+        publish_counters(registry, "scheduler", cluster.scheduler_stats())
+        if fault_plan is not None:
+            publish_counters(registry, "robust", fault_plan.stats)
+        cluster.latency.publish(registry)
+        _print_metrics(registry, args.metrics_format)
     return 0 if audit.passed else 1
 
 

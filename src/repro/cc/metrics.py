@@ -42,9 +42,9 @@ class RunMetrics:
     #: ``execution_cache_*`` counters so cache behaviour under runtime
     #: traffic is observable alongside the scheduler counters.
     execution_cache: object | None = None
-    #: Robustness counters (:class:`repro.robust.faults.RobustStats`,
-    #: duck-typed) when the run carried a fault plan or monitor; exported
-    #: as ``robust_*`` counters.
+    #: Robustness counters (:class:`repro.robust.faults.RobustStats`)
+    #: when the run carried a fault plan or monitor; exported as
+    #: ``robust_*`` counters.
     robust: object | None = None
     #: End-to-end latencies (commit time - arrival time) of committed
     #: transactions, in arrival order — feeds the latency histogram.
@@ -133,9 +133,7 @@ class RunMetrics:
         gauges, and the blocked-interval durations populate a fixed-bound
         histogram — ready for JSON or Prometheus text rendering.
         """
-        from dataclasses import fields as dataclass_fields
-
-        from repro.obs.registry import MetricsRegistry
+        from repro.obs.registry import MetricsRegistry, publish_counters
 
         registry = registry if registry is not None else MetricsRegistry()
         registry.counter("txns", "Transactions by final status.",
@@ -150,13 +148,15 @@ class RunMetrics:
             "Programs that hit the restart ceiling and finished aborted.",
         ).inc(self.restarts_exhausted)
         if self.robust is not None:
-            self.robust.publish(registry)
-        for field_info in dataclass_fields(self.scheduler):
-            registry.counter(
-                f"scheduler_{field_info.name}", "Raw scheduler counter."
-            ).inc(getattr(self.scheduler, field_info.name))
+            publish_counters(registry, "robust", self.robust)
+        publish_counters(registry, "scheduler", self.scheduler)
         if self.execution_cache is not None:
-            self.execution_cache.publish(registry)
+            cache = self.execution_cache.stats()
+            publish_counters(registry, "execution_cache", cache)
+            registry.gauge(
+                "execution_cache_size",
+                "Entries currently held by the execution cache.",
+            ).set(cache.size)
         registry.gauge("makespan", "Time of the last event of the run.").set(
             self.makespan
         )

@@ -197,16 +197,6 @@ class SchedulerStats:
     #: :mod:`repro.perf.shadow`.
     compiled_memo_hits: int = 0
 
-    #: Serving-layer sheds recorded against this scheduler's backend
-    #: (``repro.serve``): overload drops (bounded queue / ladder reject),
-    #: circuit-breaker sheds, deadline-exceeded sheds, and exhausted
-    #: at-least-once retries.  Serving-only — never part of SEED_FIELDS
-    #: (the bare harness has no admission queue to shed from).
-    serve_shed_overload: int = 0
-    serve_shed_breaker: int = 0
-    serve_shed_deadline: int = 0
-    serve_shed_retries: int = 0
-
     #: The counters the seed scheduler also maintains; parity with
     #: :class:`repro.cc.reference.ReferenceScheduler` is asserted on
     #: exactly these (the optimization counters above stay zero there).

@@ -42,7 +42,6 @@ from repro.dist.coordinator import Coordinator
 from repro.dist.crash import (
     CrashSchedule,
     DistCrashPointResult,
-    DistCrashSweepResult,
     dist_crash_sweep,
 )
 from repro.dist.node import ParticipantNode
@@ -53,7 +52,6 @@ __all__ = [
     "Coordinator",
     "CrashSchedule",
     "DistCrashPointResult",
-    "DistCrashSweepResult",
     "DistStats",
     "DistTranscript",
     "GlobalAudit",

@@ -195,10 +195,19 @@ def _replication_cell_report(cluster: Cluster, gates: dict) -> dict:
         if cluster.replication is not None
         else []
     )
+    replication = (
+        cluster.replication.lag_report()
+        if cluster.replication is not None
+        else {}
+    )
     gates = dict(gates)
     gates["audit"] = audit.passed
     gates["no_committed_loss"] = not lost
     gates["single_primary_per_epoch"] = not fencing
+    if any("failed_backups" in shard for shard in replication.values()):
+        # Present only when a backup failed verification for good, so
+        # every other run's report keeps its bytes.
+        gates["backups_verified"] = False
     stats = cluster.stats
     return {
         "gates": gates,
@@ -209,11 +218,7 @@ def _replication_cell_report(cluster: Cluster, gates: dict) -> dict:
         "audit_violations": list(audit.violations),
         "view_changes": stats.view_changes,
         "fenced_messages": stats.fenced_messages,
-        "replication": (
-            cluster.replication.lag_report()
-            if cluster.replication is not None
-            else {}
-        ),
+        "replication": replication,
     }
 
 

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.cc.harness import TRANSIENT_COMMIT, TRANSIENT_OP, Transcript, play
-from repro.cc.scheduler import CommitDecision, OpDecision
+from repro.cc.scheduler import CommitDecision, OpDecision, SchedulerStats
 from repro.cc.transaction import OperationRecord
 from repro.cc.workload import Workload
 from repro.obs.events import FaultInjected, NodeCrashed, NodeRecovered
@@ -406,10 +406,7 @@ class Cluster:
             (shard, render_state(self._shard_object(shard).state()))
             for shard in self.shard_names
         )
-        totals: dict[str, int] = {}
-        for node in self.nodes:
-            for name, value in node.sched.stats.seed_counters().items():
-                totals[name] = totals.get(name, 0) + value
+        totals = self.scheduler_stats().seed_counters()
         self.transcript = DistTranscript(
             shards=len(self.nodes),
             op_decisions=tuple(ops),
@@ -421,6 +418,17 @@ class Cluster:
             dist_stats=self.stats.as_tuple(),
         )
         return self.transcript
+
+    def scheduler_stats(self) -> SchedulerStats:
+        """The primaries' scheduler counters, summed field by field."""
+        return SchedulerStats(
+            **{
+                spec.name: sum(
+                    getattr(node.sched.stats, spec.name) for node in self.nodes
+                )
+                for spec in fields(SchedulerStats)
+            }
+        )
 
     def _shard_object(self, shard: str):
         return self._node_by_name[self.owner[shard]].sched.object(shard)

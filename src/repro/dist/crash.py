@@ -18,15 +18,15 @@ acceptance bar of the PR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dist.audit import GlobalAudit, audit_global
 from repro.dist.cluster import Cluster
+from repro.robust.crash import CrashSweepResult
 
 __all__ = [
     "CrashSchedule",
     "DistCrashPointResult",
-    "DistCrashSweepResult",
     "dist_crash_sweep",
 ]
 
@@ -69,34 +69,12 @@ class DistCrashPointResult:
     def passed(self) -> bool:
         return self.audit.passed and not self.regressions
 
-
-@dataclass(frozen=True)
-class DistCrashSweepResult:
-    """The whole sweep: census size and per-point verdicts."""
-
-    points_reached: int
-    results: tuple = field(default=())
-
-    @property
-    def passed(self) -> bool:
-        return all(result.passed for result in self.results)
-
-    def failures(self) -> tuple:
-        return tuple(r for r in self.results if not r.passed)
-
     def to_dict(self) -> dict:
         return {
-            "points_reached": self.points_reached,
-            "passed": self.passed,
-            "failures": [
-                {
-                    "index": failure.index,
-                    "actor": failure.actor,
-                    "label": failure.label,
-                    "violations": list(failure.audit.violations),
-                }
-                for failure in self.failures()
-            ],
+            "index": self.index,
+            "actor": self.actor,
+            "label": self.label,
+            "violations": list(self.audit.violations),
         }
 
 
@@ -109,7 +87,7 @@ def dist_crash_sweep(
     seed: int = 0,
     max_points: int | None = None,
     replicas: int = 1,
-) -> DistCrashSweepResult:
+) -> CrashSweepResult:
     """Crash every reached protocol point in its own cluster run.
 
     ``max_points`` caps the sweep (evenly prefix-truncated) for smoke
@@ -162,6 +140,6 @@ def dist_crash_sweep(
                 regressions=regressions,
             )
         )
-    return DistCrashSweepResult(
-        points_reached=reached, results=tuple(results)
+    return CrashSweepResult(
+        header={"points_reached": reached}, results=tuple(results)
     )

@@ -51,7 +51,10 @@ ever race a view change.  Backups that crash (the
 revived at the next boundary by **state transfer** from the primary's
 durable log — the log is disk, readable even while the primary process
 itself is down — which is what keeps every promotion candidate fully
-caught up by promotion time.
+caught up by promotion time.  A backup is also **fail-stop**: one whose
+verification of a shipped record fails crashes at once, and one whose
+state transfer fails verification too stays down for good
+(``failed_backups`` in :meth:`ReplicationManager.lag_report`).
 
 Backups additionally serve **snapshot observer reads** at their applied
 watermark (:meth:`Cluster.observer_read <repro.dist.cluster.Cluster.observer_read>`):
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.errors import RecoveryError
 from repro.obs.events import (
     LogShipped,
     NodeCrashed,
@@ -133,16 +137,28 @@ class BackupReplica:
     def receive(self, records) -> None:
         """Append and apply the primary's records from index ``applied``.
 
-        Every record runs :func:`~repro.robust.decision_log.apply_record`,
-        so a record that diverges from what this replica computes raises
-        :class:`~repro.errors.RecoveryError` here, inside the primary's
-        handler and before its reply.
+        Every record runs :func:`~repro.robust.decision_log.apply_record`.
+        A record that diverges from what this replica computes fails that
+        verification inside the primary's handler, before its reply, and
+        the backup fail-stops: it crashes on the bus (its half-applied
+        state is never read again) and counts ``repl_verify_failures``,
+        while the primary's handler carries on.  The next boundary
+        reseeds it from the primary's log, or holds it down for good.
         """
-        for record in records:
-            self.log.records.append(record)
-            apply_record(self.sched, self.log, record, self.applied)
-            self.applied += 1
-            self.stats.repl_records_applied += 1
+        try:
+            for record in records:
+                self.log.records.append(record)
+                apply_record(self.sched, self.log, record, self.applied)
+                self.applied += 1
+                self.stats.repl_records_applied += 1
+        except RecoveryError:
+            self.stats.repl_verify_failures += 1
+            self.bus.crash(self.name)
+            if self.tracer:
+                self.tracer.emit(
+                    NodeCrashed(time=self.bus.now, node=self.name)
+                )
+            return
         self.stats.repl_acks += 1
 
     def handle(self, message) -> None:
@@ -185,6 +201,9 @@ class ReplicaGroup:
         self.acked: dict[str, int] = {}
         #: Consecutive missed heartbeats (reset by any answered ping).
         self.missed = 0
+        #: Backups held down for good: a verified replay of the
+        #: primary's log failed while reseeding them.
+        self.failed: set[str] = set()
         #: ``(epoch, incarnation)`` of every non-fenced served message —
         #: the evidence behind the single-primary-per-epoch certificate.
         self.servings: set[tuple[int, int]] = set()
@@ -314,8 +333,16 @@ class ReplicationManager:
                 if backup.name not in down:
                     group.acked[backup.name] = backup.applied
                     continue
+                if backup.name in group.failed:
+                    continue
+                try:
+                    backup.reseed(group.primary.log.fork())
+                except RecoveryError:
+                    # The primary's own log does not replay: reseeding
+                    # again would fail again, so the backup stays down.
+                    group.failed.add(backup.name)
+                    continue
                 bus.revive(backup.name)
-                backup.reseed(group.primary.log.fork())
                 group.acked[backup.name] = backup.applied
                 self.stats.node_recoveries += 1
                 if self.tracer:
@@ -524,4 +551,6 @@ class ReplicationManager:
                     for backup in group.backups
                 },
             }
+            if group.failed:
+                out[group.shard]["failed_backups"] = sorted(group.failed)
         return out

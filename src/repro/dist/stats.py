@@ -13,8 +13,8 @@ class DistStats:
 
     One instance is threaded through a whole cluster (the
     :class:`~repro.cc.scheduler.SchedulerStats` pattern) and exported
-    through the metrics registry by :meth:`publish` as ``dist_*``
-    counters — what ``simulate --shards N --metrics-format ...`` shows.
+    as ``dist_*`` counters by :func:`~repro.obs.registry.publish_counters`
+    — what ``simulate --shards N --metrics-format ...`` shows.
     """
 
     # -- bus ----------------------------------------------------------
@@ -49,35 +49,21 @@ class DistStats:
     rpc_expired: int = 0
     #: Deadline-carrying messages dropped past their deadline.
     messages_expired: int = 0
-    # -- serving-layer sheds over this cluster -------------------------
-    serve_shed_overload: int = 0
-    serve_shed_breaker: int = 0
-    serve_shed_deadline: int = 0
-    serve_shed_retries: int = 0
     # -- replication ---------------------------------------------------
     repl_records_shipped: int = 0
     repl_records_applied: int = 0
     #: Shipped batches a backup applied (no ack message is sent: the
     #: manager reads each backup's watermark at the boundary).
     repl_acks: int = 0
-    #: Always 0: shipping resumes at each backup's applied count, so
-    #: nothing is re-shipped.  Kept because every cluster transcript
-    #: embeds every field.
-    repl_retransmits: int = 0
+    #: Backups crashed because a shipped record failed verification
+    #: (fail-stop: a diverging replica is taken down, never left live).
+    repl_verify_failures: int = 0
     heartbeats_sent: int = 0
     heartbeats_missed: int = 0
     view_changes: int = 0
     fenced_messages: int = 0
     replica_reads: int = 0
     replica_crashes: int = 0
-
-    def publish(self, registry) -> None:
-        """Export every counter into a metrics registry as ``dist_<name>``."""
-        for spec in fields(self):
-            registry.counter(
-                f"dist_{spec.name}",
-                f"Distributed layer: {spec.name.replace('_', ' ')}.",
-            ).inc(getattr(self, spec.name))
 
     def to_dict(self) -> dict:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}

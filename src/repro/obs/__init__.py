@@ -19,7 +19,6 @@ from repro.obs.analysis import (
     firing_histogram,
     history_from_trace,
     parse_literal,
-    registry_from_trace,
     render_dashboard,
     serializable_from_trace,
     summarize,
@@ -53,7 +52,13 @@ from repro.obs.events import (
 from repro.obs.latency import LatencyRecorder, latency_from_trace
 from repro.obs.latency import Histogram as LatencyHistogram
 from repro.obs.profiling import DerivationProfile, StageProfile, StageProfiler
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    publish_counters,
+)
 from repro.obs.spans import (
     NULL_SPAN,
     SpanEmitter,
@@ -104,6 +109,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "publish_counters",
     # profiling
     "StageProfile",
     "DerivationProfile",
@@ -117,7 +123,6 @@ __all__ = [
     "summarize",
     "history_from_trace",
     "serializable_from_trace",
-    "registry_from_trace",
     "render_dashboard",
     # spans
     "NULL_SPAN",

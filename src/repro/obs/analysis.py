@@ -55,7 +55,6 @@ __all__ = [
     "summarize",
     "history_from_trace",
     "serializable_from_trace",
-    "registry_from_trace",
     "render_dashboard",
 ]
 
@@ -335,49 +334,6 @@ def serializable_from_trace(
 
     history = history_from_trace(events, adts)
     return find_witness(history, brute_force_limit) is not None
-
-
-# ---------------------------------------------------------------------------
-# Metrics from a trace
-# ---------------------------------------------------------------------------
-
-#: Default histogram bounds for blocked-interval durations (sim-time units).
-BLOCKED_BOUNDS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0)
-
-
-def registry_from_trace(events: Sequence[TraceEvent], registry=None):
-    """Populate a metrics registry from a trace.
-
-    Counters per event type and per dependency kind, plus a histogram of
-    blocked-interval durations (from each transaction's ``OpBlocked`` to
-    its next grant or abort, in sim-time).  Returns the registry.
-    """
-    from repro.obs.registry import MetricsRegistry
-
-    registry = registry if registry is not None else MetricsRegistry()
-    blocked = registry.histogram(
-        "blocked_interval_seconds",
-        bounds=BLOCKED_BOUNDS,
-        help="Duration of operation-blocked intervals (sim-time).",
-    )
-    blocked_since: dict[int, float] = {}
-    for event in events:
-        registry.counter(
-            "events", help="Trace events by type.", labels={"type": event.type}
-        ).inc()
-        if isinstance(event, DependencyRecorded):
-            registry.counter(
-                "dependencies",
-                help="Recorded dependencies by kind and evidence source.",
-                labels={"kind": event.dependency, "source": event.source},
-            ).inc()
-        if isinstance(event, OpBlocked):
-            blocked_since.setdefault(event.txn, event.time)
-        elif isinstance(event, (OpGranted, TxnAborted)):
-            txn = event.txn
-            if txn in blocked_since:
-                blocked.observe(event.time - blocked_since.pop(txn))
-    return registry
 
 
 # ---------------------------------------------------------------------------

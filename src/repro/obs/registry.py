@@ -11,6 +11,10 @@ observables.  Two export formats:
   long-running simulation needs nothing beyond an HTTP handler that
   returns this string.
 
+Counters of the runtime live in plain dataclasses on the hot path
+(``stats.x += 1``); :func:`publish_counters` is the one bridge that
+exports such a dataclass into a registry.
+
 Histograms use *fixed* bucket bounds chosen at registration: observation
 is O(#buckets) with no allocation, and cumulative ``le`` buckets are
 computed at export time.
@@ -20,11 +24,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import SchedulerError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "Histogram",
+    "MetricsRegistry",
+    "publish_counters",
+]
 
 
 def _format_value(value: float) -> str:
@@ -263,3 +273,30 @@ class MetricsRegistry:
                     f"{full}_count{_format_labels(labels)} {instrument.count}"
                 )
         return "\n".join(lines) + "\n"
+
+
+def publish_counters(registry: MetricsRegistry, prefix: str, stats) -> None:
+    """Export every counter field of the dataclass ``stats`` into ``registry``.
+
+    An ``int`` field ``x`` becomes the counter ``<prefix>_x``.  A
+    ``dict[str, int]`` field named ``<name>_by_<label>`` becomes one
+    counter ``<prefix>_<name>`` with a ``<label>`` label per key, over
+    the field's ``metadata["keys"]`` when it declares them (so a key
+    that never counted still exports its zero), else over the dict's own
+    keys.  A field whose metadata sets ``"counter": False`` is a level,
+    not a count, and is left to the caller.  Fields export in
+    declaration order.
+    """
+    for spec in fields(stats):
+        if not spec.metadata.get("counter", True):
+            continue
+        value = getattr(stats, spec.name)
+        text = f"{spec.name.replace('_', ' ')} ({type(stats).__name__})."
+        if isinstance(value, dict):
+            name, _, label = spec.name.partition("_by_")
+            for key in spec.metadata.get("keys", value):
+                registry.counter(
+                    f"{prefix}_{name}", text, labels={label: key}
+                ).inc(value.get(key, 0))
+        else:
+            registry.counter(f"{prefix}_{spec.name}", text).inc(value)

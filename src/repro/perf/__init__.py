@@ -38,7 +38,7 @@ from repro.perf.codegen import (
     compiled_execute,
 )
 from repro.perf.evidence import EvidenceBase
-from repro.perf.shadow import ShadowStateIndex, ShadowStats
+from repro.perf.shadow import ShadowStateIndex
 
 __all__ = [
     "DEFAULT_CACHE_MAXSIZE",
@@ -48,7 +48,6 @@ __all__ = [
     "ExecutionCache",
     "EvidenceBase",
     "ShadowStateIndex",
-    "ShadowStats",
     "compile_adt",
     "compiled_execute",
     "ensure_execution_cache",

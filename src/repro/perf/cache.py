@@ -17,8 +17,9 @@ immutable by every consumer (their locality traces are only ever read or
 merged into fresh traces), so sharing one record across call sites is
 safe.
 
-Hit/miss/eviction counters are exported through the existing
-:class:`repro.obs.registry.MetricsRegistry` via :meth:`ExecutionCache.publish`.
+Hit/miss/eviction counters are exported from a :meth:`ExecutionCache.stats`
+snapshot as ``execution_cache_*`` by
+:func:`repro.obs.registry.publish_counters`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.spec.adt import (
@@ -57,7 +58,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    size: int = 0
+    #: Entries held at snapshot time: a level, exported as a gauge.
+    size: int = field(default=0, metadata={"counter": False})
 
     @property
     def lookups(self) -> int:
@@ -105,9 +107,6 @@ class ExecutionCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        #: Snapshot of the counters at the last :meth:`publish`, so
-        #: repeated publishes into one registry increment by the delta.
-        self._published = CacheStats()
 
     # ------------------------------------------------------------------
     # Core
@@ -244,39 +243,6 @@ class ExecutionCache:
                 evictions=self._evictions,
                 size=len(self._entries),
             )
-
-    def publish(self, registry, labels: dict[str, str] | None = None) -> CacheStats:
-        """Export the counters through a :class:`~repro.obs.registry.MetricsRegistry`.
-
-        Counters (``execution_cache_hits`` / ``_misses`` / ``_evictions``)
-        are incremented by the delta since the previous publish into any
-        registry, so periodic publishing composes with Prometheus-style
-        scraping; the ``execution_cache_size`` gauge is set absolutely.
-        Returns the snapshot that was published.
-        """
-        snapshot = self.stats()
-        registry.counter(
-            "execution_cache_hits",
-            help="Memoized execute_invocation lookups served from cache.",
-            labels=labels,
-        ).inc(snapshot.hits - self._published.hits)
-        registry.counter(
-            "execution_cache_misses",
-            help="Memoized execute_invocation lookups that executed.",
-            labels=labels,
-        ).inc(snapshot.misses - self._published.misses)
-        registry.counter(
-            "execution_cache_evictions",
-            help="Cache entries evicted by the LRU bound.",
-            labels=labels,
-        ).inc(snapshot.evictions - self._published.evictions)
-        registry.gauge(
-            "execution_cache_size",
-            help="Entries currently held by the execution cache.",
-            labels=labels,
-        ).set(snapshot.size)
-        self._published = snapshot
-        return snapshot
 
 
 @contextmanager

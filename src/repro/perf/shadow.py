@@ -56,22 +56,7 @@ from repro.spec.adt import AbstractState, execute_invocation
 from repro.spec.operation import Invocation
 from repro.spec.returnvalue import ReturnValue
 
-__all__ = ["ShadowStateIndex", "ShadowStats"]
-
-
-@dataclass
-class ShadowStats:
-    """Standalone counter sink (the scheduler passes its own stats)."""
-
-    #: Shadow queries answered from an incrementally maintained state
-    #: (each one stands in for a full log replay the seed performed).
-    shadow_replays_avoided: int = 0
-    #: Shadow states (re)built by a full log replay — first query for a
-    #: transaction, or the first query after an epoch invalidation.
-    shadow_full_replays: int = 0
-    #: State transitions served by the transition memo, skipping the
-    #: execution cache's lock and key hashing.
-    compiled_memo_hits: int = 0
+__all__ = ["ShadowStateIndex"]
 
 
 @dataclass
@@ -104,17 +89,18 @@ class ShadowStateIndex:
     state never includes un-noted entries, and a rebuild must skip the
     entry under certification explicitly.
 
-    ``stats`` is any object with ``shadow_replays_avoided`` /
-    ``shadow_full_replays`` / ``compiled_memo_hits`` integer attributes —
-    the scheduler passes its ``SchedulerStats`` so the counters flow into
-    the metrics registry export unchanged.
+    ``stats`` is the owning scheduler's
+    :class:`~repro.cc.scheduler.SchedulerStats`: the index counts
+    ``shadow_replays_avoided`` / ``shadow_full_replays`` /
+    ``compiled_memo_hits`` there, so they export with the scheduler's
+    counters.
     """
 
-    def __init__(self, cache=None, stats=None) -> None:
+    def __init__(self, stats, cache=None) -> None:
         #: Optional :class:`~repro.perf.cache.ExecutionCache` consulted
         #: by full replays and on every transition-memo miss.
         self.cache = cache
-        self.stats = stats if stats is not None else ShadowStats()
+        self.stats = stats
         self._objects: dict[str, _ObjectIndex] = {}
         #: object name -> invocation -> state -> Execution.
         self._memo: dict[str, dict[Invocation, dict[AbstractState, object]]] = {}

@@ -128,7 +128,7 @@ def _storm_cell(
         "committed": list(transcript.committed()),
         "final_state": transcript.final_state,
         "faults": plan.report(),
-        "robust": stats.to_dict(),
+        "robust": dataclasses.asdict(stats),
     }
 
 

@@ -60,24 +60,28 @@ class CrashPointResult:
 
 @dataclass(frozen=True)
 class CrashSweepResult:
-    """One workload's complete sweep over every decision point."""
+    """One sweep's per-point verdicts, scheduler or protocol.
 
-    policy: str
-    decision_points: int
-    results: tuple[CrashPointResult, ...]
+    ``header`` holds the report keys ahead of ``passed``: ``policy`` and
+    ``decision_points`` for :func:`crash_sweep`, ``points_reached`` for
+    :func:`repro.dist.crash.dist_crash_sweep`.  Each result has a
+    ``passed`` verdict and a ``to_dict`` rendering.
+    """
+
+    header: dict
+    results: tuple
 
     @property
     def passed(self) -> bool:
         return all(result.passed for result in self.results)
 
     @property
-    def failures(self) -> tuple[CrashPointResult, ...]:
+    def failures(self) -> tuple:
         return tuple(result for result in self.results if not result.passed)
 
     def to_dict(self) -> dict:
         return {
-            "policy": self.policy,
-            "decision_points": self.decision_points,
+            **self.header,
             "passed": self.passed,
             "failures": [result.to_dict() for result in self.failures],
         }
@@ -171,7 +175,6 @@ def crash_sweep(
             )
         )
     return CrashSweepResult(
-        policy=policy,
-        decision_points=decisions,
+        header={"policy": policy, "decision_points": decisions},
         results=tuple(results),
     )

@@ -242,56 +242,26 @@ class RobustStats:
     One instance is threaded through the :class:`FaultPlan`, the
     :class:`~repro.robust.monitor.MonitoredScheduler` and the recovery
     path of a run (the :class:`~repro.cc.scheduler.SchedulerStats`
-    pattern), then exported through the metrics registry by
-    :meth:`publish` — which is what ``simulate --metrics-format`` shows.
+    pattern), then exported as ``robust_*`` counters by
+    :func:`~repro.obs.registry.publish_counters` — which is what
+    ``simulate --metrics-format`` shows.
     """
 
     faults_injected: int = 0
-    #: Per-kind injection counts (keys from :data:`FAULT_KINDS`).
+    #: Per-kind injection counts (keys from :data:`FAULT_KINDS`, plus
+    #: each message or replica kind once it fires); exported as
+    #: ``robust_faults{kind}`` over every kind.
     faults_by_kind: dict = field(
-        default_factory=lambda: {kind: 0 for kind in FAULT_KINDS}
+        default_factory=lambda: {kind: 0 for kind in FAULT_KINDS},
+        metadata={
+            "keys": FAULT_KINDS + MESSAGE_FAULT_KINDS + REPLICA_FAULT_KINDS
+        },
     )
     #: Crash recoveries plus fast-path rebuilds after a violation.
     recoveries: int = 0
     invariant_checks: int = 0
     invariant_violations: int = 0
     degradations: int = 0
-
-    def publish(self, registry) -> None:
-        """Export the counters into a :class:`~repro.obs.registry.MetricsRegistry`."""
-        registry.counter(
-            "robust_faults_injected", "Faults injected by the fault plan."
-        ).inc(self.faults_injected)
-        for kind in FAULT_KINDS + MESSAGE_FAULT_KINDS + REPLICA_FAULT_KINDS:
-            registry.counter(
-                "robust_faults",
-                "Faults injected, by fault-point kind.",
-                labels={"kind": kind},
-            ).inc(self.faults_by_kind.get(kind, 0))
-        registry.counter(
-            "robust_recoveries",
-            "Crash recoveries and post-violation fast-path rebuilds.",
-        ).inc(self.recoveries)
-        registry.counter(
-            "robust_invariant_checks", "Invariant-monitor check rounds."
-        ).inc(self.invariant_checks)
-        registry.counter(
-            "robust_invariant_violations", "Invariant checks that failed."
-        ).inc(self.invariant_violations)
-        registry.counter(
-            "robust_degradations",
-            "Falls back to bit-parity reference execution.",
-        ).inc(self.degradations)
-
-    def to_dict(self) -> dict:
-        return {
-            "faults_injected": self.faults_injected,
-            "faults_by_kind": dict(self.faults_by_kind),
-            "recoveries": self.recoveries,
-            "invariant_checks": self.invariant_checks,
-            "invariant_violations": self.invariant_violations,
-            "degradations": self.degradations,
-        }
 
 
 class FaultPlan:

@@ -62,12 +62,6 @@ class SchedulerBackend:
 
     has_faults = False
 
-    def note_shed(self, kind: str) -> None:
-        """Count one shed request (``overload``/``breaker``/``deadline``/``retries``)."""
-        stats = self.scheduler.stats
-        field = f"serve_shed_{kind}"
-        setattr(stats, field, getattr(stats, field) + 1)
-
     def tick_boundary(self) -> None:
         """Nothing to revive or flush on a bare scheduler."""
 
@@ -144,12 +138,6 @@ class ClusterBackend:
             self.cluster.plan is not None
             or self.cluster.crash_schedule is not None
         )
-
-    def note_shed(self, kind: str) -> None:
-        """Count one shed request in the cluster's ``dist_*`` stats."""
-        stats = self.cluster.stats
-        field = f"serve_shed_{kind}"
-        setattr(stats, field, getattr(stats, field) + 1)
 
     def tick_boundary(self) -> None:
         self.frontend.tick_boundary()

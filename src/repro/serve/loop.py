@@ -379,7 +379,6 @@ class ServingLoop:
             available, rid, request = entry
             if reason == "deadline":
                 deadline_exceeded += 1
-                backend.note_shed("deadline")
                 backend.emit(
                     DeadlineExceeded(
                         time=now, request_id=rid, txn=-1,
@@ -389,9 +388,6 @@ class ServingLoop:
                 outcome = "deadline_exceeded"
             else:
                 shed += 1
-                backend.note_shed(
-                    "breaker" if reason == "breaker" else "overload"
-                )
                 backend.emit(
                     RequestShed(
                         time=now, request_id=rid, reason=reason,
@@ -424,7 +420,6 @@ class ServingLoop:
                 goodput += len(request.steps)
             elif outcome == "deadline_exceeded":
                 deadline_exceeded += 1
-                backend.note_shed("deadline")
                 backend.emit(
                     DeadlineExceeded(
                         time=now, request_id=rid, txn=runner.txn,
@@ -435,7 +430,6 @@ class ServingLoop:
                 attempt = attempts.get(rid, 0) + 1
                 if attempt > self.max_retries:
                     retries_exhausted += 1
-                    backend.note_shed("retries")
                     backend.emit(
                         RequestShed(
                             time=now, request_id=rid,
@@ -457,7 +451,6 @@ class ServingLoop:
                     # The retry could not start inside the budget: shed
                     # as expired, never silently requeued.
                     deadline_exceeded += 1
-                    backend.note_shed("deadline")
                     backend.emit(
                         DeadlineExceeded(
                             time=now, request_id=rid, txn=-1, deadline=dl,

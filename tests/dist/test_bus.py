@@ -140,11 +140,11 @@ class TestMessageFaults:
 
 class TestDistStats:
     def test_publish_exports_dist_counters(self):
-        from repro.obs.registry import MetricsRegistry
+        from repro.obs.registry import MetricsRegistry, publish_counters
 
         stats = DistStats(messages_sent=5, prepares_sent=2, votes_yes=2)
         registry = MetricsRegistry()
-        stats.publish(registry)
+        publish_counters(registry, "dist", stats)
         rendered = registry.render_json()
         assert '"dist_messages_sent": 5' in rendered
         assert '"dist_prepares_sent": 2' in rendered

@@ -46,10 +46,10 @@ def test_every_protocol_point_survives_a_crash(adt_name, shards, seed):
     sweep = dist_crash_sweep(
         adt, table, workload_for(adt, seed), shards=shards, seed=seed
     )
-    assert sweep.points_reached > 0
+    assert sweep.header["points_reached"] > 0
     assert sweep.passed, [
         (f.actor, f.label, f.audit.violations, f.regressions)
-        for f in sweep.failures()
+        for f in sweep.failures
     ]
     for result in sweep.results:
         assert result.audit.in_doubt == ()

@@ -37,7 +37,6 @@ from repro.dist.audit import audit_global
 from repro.dist.chaos import _KillPrimariesOnce, run_replication_chaos
 from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
 from repro.dist.replication import ReplicaGroup
-from repro.errors import RecoveryError
 from repro.experiments import golden
 from repro.robust import FaultPlan, FaultSpec
 from repro.robust.chaos import campaign_workload
@@ -217,7 +216,6 @@ class TestWatermarks:
         assert "replicate" not in kinds
         assert "replicate-ack" not in kinds
         assert cluster.stats.repl_acks > 0  # applied batches still count
-        assert cluster.stats.repl_retransmits == 0
         expected = {}
         for index, records in enumerate(self.LOG_RECORDS[adt.name]):
             expected[f"shard{index}"] = {
@@ -236,8 +234,9 @@ class TestWatermarks:
     def test_tampered_record_fails_in_ship_before_the_reply(self):
         # Every shipped record is verified as it reaches a backup: a
         # record whose logged return value the backup's own replay does
-        # not reproduce raises inside ship(), before the primary
-        # enqueues its reply.
+        # not reproduce fails inside ship(), before the primary enqueues
+        # its reply.  The backup fail-stops there: it is crashed and
+        # counted, and the primary's handler carries on.
         adt = AccountSpec()
         cluster = Cluster(
             adt, derive(adt).final_table, shards=1, policy="blocking",
@@ -250,22 +249,39 @@ class TestWatermarks:
         def tamper_then_ship():
             records = primary.log.records
             last = records[-1]
-            assert last.kind == "request" and last.outcome == "executed"
-            records[-1] = dataclasses.replace(last, returned="'tampered'")
+            if last.kind == "request" and last.outcome == "executed":
+                records[-1] = dataclasses.replace(last, returned="'tampered'")
             ship()
 
         group.ship = tamper_then_ship
         kinds = self.sent_kinds(cluster)
         frontend = ClusterFrontend(cluster)
         gtxn = frontend.begin()
-        with pytest.raises(RecoveryError, match="tampered"):
-            frontend.request(
-                gtxn, cluster.shard_names[0],
-                Invocation(operation="Balance", args=()),
-            )
-        assert kinds == ["op"]
+        balance = Invocation(operation="Balance", args=())
+        frontend.request(gtxn, cluster.shard_names[0], balance)
+        assert kinds == ["op", "op-reply"]
         (backup,) = group.backups
-        assert backup.applied == len(primary.log.records) - 1
+        assert backup.name in cluster.bus.down()
+        assert cluster.stats.repl_verify_failures == 1
+        diverged = len(backup.log.records)
+        assert backup.applied == diverged - 1
+        # A down backup is skipped: a second request neither raises nor
+        # hands it the diverging record again.
+        frontend.request(frontend.begin(), cluster.shard_names[0], balance)
+        assert len(backup.log.records) == diverged
+        assert cluster.stats.repl_verify_failures == 1
+        # The primary's own log now fails a verified replay, so the
+        # boundary's state transfer fails too: the backup is held down
+        # for good, named in the lag report, and never reseeded again.
+        reseeds = []
+        reseed = backup.reseed
+        backup.reseed = lambda log: reseeds.append(log) or reseed(log)
+        for _ in range(2):
+            frontend.tick_boundary()
+        assert len(reseeds) == 1
+        assert backup.name in cluster.bus.down()
+        (row,) = cluster.replication.lag_report().values()
+        assert row["failed_backups"] == [backup.name]
 
     def test_backup_crashed_between_boundaries_catches_up(self, fixture):
         adt, table = fixture
@@ -282,7 +298,6 @@ class TestWatermarks:
         assert cluster.stats.view_changes == 0
         # A live backup's boundary reading is never behind what it
         # applied, so nothing is re-shipped.
-        assert cluster.stats.repl_retransmits == 0
         for row in cluster.replication.lag_report().values():
             for backup in row["backups"].values():
                 assert backup["lag"] == 0

@@ -10,7 +10,6 @@ from repro.obs.analysis import (
     firing_histogram,
     history_from_trace,
     parse_literal,
-    registry_from_trace,
     render_event,
     summarize,
     transaction_timeline,
@@ -22,6 +21,7 @@ from repro.obs.events import (
     TxnBegun,
     TxnCommitted,
 )
+from repro.obs.latency import latency_from_trace
 from repro.obs.tracers import RecordingTracer
 
 
@@ -152,26 +152,22 @@ class TestReconstructRun:
         )
 
 
-class TestRegistryFromTrace:
+class TestTraceCountsMatchLiveRun:
     def test_event_and_dependency_counters(self, traced_run):
         events, metrics, _ = traced_run
-        registry = registry_from_trace(events)
-        document = registry.to_json()
+        summary = summarize(events)
         granted = sum(
             1 for event in events if isinstance(event, OpGranted)
         )
-        assert document["counters"]['events{type="op_granted"}'] == granted
-        total_deps = sum(
-            value for key, value in document["counters"].items()
-            if key.startswith("dependencies{")
-        )
+        assert summary.by_type["op_granted"] == granted
         stats = metrics.scheduler
-        assert total_deps == stats.ad_edges + stats.cd_edges
+        assert sum(summary.dependencies_by_kind.values()) == (
+            stats.ad_edges + stats.cd_edges
+        )
 
     def test_blocked_intervals_observed(self, traced_run):
         events, metrics, _ = traced_run
-        histogram = registry_from_trace(events).histogram(
-            "blocked_interval_seconds", bounds=(0.1,)
-        )
-        if any(isinstance(event, OpBlocked) for event in events):
-            assert histogram.count > 0
+        blocked = latency_from_trace(events).merged("blocked")
+        assert any(isinstance(event, OpBlocked) for event in events)
+        assert blocked.count == len(metrics.blocked_durations) > 0
+        assert blocked.sum == pytest.approx(sum(metrics.blocked_durations))

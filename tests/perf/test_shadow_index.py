@@ -16,10 +16,10 @@ import pytest
 from repro.adts.registry import make_adt
 from repro.cc.harness import drive
 from repro.cc.objects import SharedObject
-from repro.cc.scheduler import TableDrivenScheduler
+from repro.cc.scheduler import SchedulerStats, TableDrivenScheduler
 from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
-from repro.perf.shadow import ShadowStateIndex, ShadowStats
+from repro.perf.shadow import ShadowStateIndex
 from repro.spec.operation import Invocation
 
 
@@ -69,7 +69,7 @@ def assert_fresh(index: ShadowStateIndex, shared: SharedObject, txns) -> None:
 class TestIncrementalMaintenance:
     def _object(self, account):
         shared = SharedObject("acct", account)
-        index = ShadowStateIndex()
+        index = ShadowStateIndex(SchedulerStats())
         index.register("acct")
         return shared, index
 
@@ -121,16 +121,11 @@ class TestIncrementalMaintenance:
         index.shadow_state("acct", shared, 0)  # rebuilt
         assert index.stats.shadow_full_replays == builds + 1
 
-    def test_standalone_stats_sink(self):
-        stats = ShadowStats()
-        assert stats.shadow_replays_avoided == 0
-        assert stats.shadow_full_replays == 0
-
 
 class TestAbortInvalidation:
     def test_abort_mid_history_invalidates(self, account):
         shared = SharedObject("acct", account)
-        index = ShadowStateIndex()
+        index = ShadowStateIndex(SchedulerStats())
         index.register("acct")
         for step, txn in enumerate((0, 1, 2, 1, 0)):
             index.note_execute(
@@ -147,14 +142,14 @@ class TestAbortInvalidation:
         assert_fresh(index, shared, (0, 2))
 
     def test_every_abort_bumps_the_epoch(self, account):
-        index = ShadowStateIndex()
+        index = ShadowStateIndex(SchedulerStats())
         index.register("acct")
         for expected in (1, 2, 3):
             index.invalidate("acct")
             assert index.epoch("acct") == expected
 
     def test_invalidate_all_objects(self, account):
-        index = ShadowStateIndex()
+        index = ShadowStateIndex(SchedulerStats())
         index.register("a")
         index.register("b")
         index.invalidate()

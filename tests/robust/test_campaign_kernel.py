@@ -140,13 +140,13 @@ class TestGoldenReport:
         "cells":
             "8092770a09cbd471235fb446456fed5f3f6947cf64e5b15b79a9630705c071b7",
         "distributed":
-            "e2c61a95203932445ec973cd5c8e7e3472de41413eb1d72ff67ffb2f73bf4928",
+            "967b47b7f04e82f6f01d299951240e1a3dd849512397f0758bdc6a215a284da5",
         "serving":
-            "1c12bd5725a176c4c6d895f4bfe39df2caf870bffadcc34b52ea065307c70e1c",
+            "258b6e63ee9d9825c260bd8a52dcfb7aaf182ec69af0ccaa545a5065f3bab36d",
         "replication":
-            "cdc6e72efc625caa5dc45ed6959224dd31beeb4ea25da3c6986dc082e71ee358",
+            "1c50c13fd8b39c8624fa123751a2f8a2caa74bf561b6aca49dd8c88bf3a5b981",
     }
-    WHOLE = "14dba955ac95643eeb4c1a17bca8f14cef1d7addac9dcd752d95a239b66d119f"
+    WHOLE = "c3017703a635e5fa749820a4116d4ce6172db4e54a31677633a23aedb6b782ad"
 
     @pytest.fixture(scope="class")
     def report(self, adts):

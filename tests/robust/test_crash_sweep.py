@@ -50,8 +50,8 @@ def workload_for(adt, seed):
 def test_every_decision_point_recovers(subjects, adt_name, policy, seed):
     adt, table = subjects[adt_name]
     sweep = crash_sweep(adt, table, workload_for(adt, seed), policy=policy)
-    assert sweep.decision_points > 0
-    assert len(sweep.results) == sweep.decision_points
+    assert sweep.header["decision_points"] > 0
+    assert len(sweep.results) == sweep.header["decision_points"]
     assert sweep.passed, [result.to_dict() for result in sweep.failures]
 
 

@@ -268,15 +268,22 @@ class TestRobustStats:
         assert set(stats.faults_by_kind) == set(FAULT_KINDS)
 
     def test_publish_exports_robust_counters(self):
-        from repro.obs.registry import MetricsRegistry
+        from repro.obs.registry import MetricsRegistry, publish_counters
+        from repro.robust.faults import (
+            MESSAGE_FAULT_KINDS,
+            REPLICA_FAULT_KINDS,
+        )
 
         stats = RobustStats(
             faults_injected=4, recoveries=2, invariant_checks=9,
             invariant_violations=1, degradations=1,
         )
         registry = MetricsRegistry()
-        stats.publish(registry)
+        publish_counters(registry, "robust", stats)
         rendered = registry.render_json()
         assert '"robust_faults_injected": 4' in rendered
         assert '"robust_recoveries": 2' in rendered
         assert '"robust_degradations": 1' in rendered
+        # Every fault kind exports, fired or not.
+        for kind in FAULT_KINDS + MESSAGE_FAULT_KINDS + REPLICA_FAULT_KINDS:
+            assert f'"robust_faults{{kind=\\"{kind}\\"}}": 0' in rendered

@@ -229,7 +229,7 @@ class TestDegradationLadder:
         assert stats.degradations == 0
 
     def test_counters_flow_into_the_registry(self, adt, table):
-        from repro.obs.registry import MetricsRegistry
+        from repro.obs.registry import MetricsRegistry, publish_counters
 
         scheduler, stats = monitored(max_recoveries=2)
         scheduler.register_object("obj", adt, table)
@@ -238,7 +238,7 @@ class TestDegradationLadder:
         scheduler.enforce()
 
         registry = MetricsRegistry()
-        stats.publish(registry)
+        publish_counters(registry, "robust", stats)
         rendered = registry.render_json()
         assert '"robust_invariant_violations": 1' in rendered
         assert '"robust_recoveries": 1' in rendered
